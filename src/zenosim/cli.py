@@ -19,13 +19,15 @@ from .config import (
     ConfigError,
     DEFAULT_MASTER_SEED,
     RunConfig,
-    build_model,
     load_config_file,
     preset,
     preset_names,
 )
-from .engine import RngStream, run_trajectory
 from .ensemble import run_ensemble
+# ``build_model`` and ``run_trajectory`` stay importable from this module:
+# benchmarks/tracing.py wraps them here by name.
+from .config import build_model  # noqa: F401
+from .engine import run_trajectory  # noqa: F401
 from .models import DriveParams, ReservoirSpec
 from .output import write_ensemble_csv, write_manifest, write_trajectory_csv
 
@@ -124,16 +126,14 @@ def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     outputs = []
     try:
-        stats = run_ensemble(cfg, workers=args.workers)
+        stats = run_ensemble(cfg, workers=args.workers, keep_curves=args.per_trajectory)
         ens_path = outdir / "ensemble.csv"
         write_ensemble_csv(ens_path, stats)
         outputs.append(str(ens_path))
         if args.per_trajectory:
-            model = build_model(cfg.model)
-            for i in range(cfg.n_trajectories):
-                rec = run_trajectory(model, cfg, RngStream(cfg.master_seed, i))
+            for i in range(stats.n_trajectories):
                 path = outdir / f"trajectory_{i:04d}.csv"
-                write_trajectory_csv(path, rec)
+                write_trajectory_csv(path, stats.record(i))
                 outputs.append(str(path))
     except Exception as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)

@@ -16,6 +16,12 @@ Each model supplies, over a fixed labeled basis:
 * ``collapse_amplitudes(c)`` -- the unnormalized post-jump amplitudes,
 * named observables used for recording.
 
+All of them act on the last axis: ``c`` is one state of shape (dim,) or a
+batch of shape (n, dim), one trajectory per row, and each row's result is
+computed on its own, with a rounding that does not depend on n.
+``propagate`` and ``coupling_derivative`` write into a preallocated ``out``
+array when given one (it must not overlap ``c``).
+
 Models
 ------
 ``DetectorMeasurementModel``
@@ -40,11 +46,13 @@ Models
 Basis ordering follows (system level, mode index, detector level) with
 ``e`` before ``g`` and ``a`` before ``b``.  Storage is dense; the detector
 part acts through 2x2 blocks per system row, and the drive and the
-reservoir coupling are matrix-free.
+reservoir coupling are matrix-free.  The band models evaluate their mode
+phases once per time for the whole batch.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +179,19 @@ def _detector_phase_rates(omega_d: float, gamma: float) -> tuple[complex, comple
     return (-0.5j * omega_d - 0.5 * gamma, +0.5j * omega_d)
 
 
+def _weight(c: np.ndarray) -> np.ndarray:
+    """Squared norm over the last axis.
+
+    ``np.vecdot`` reduces each row on its own, so a row's value does not
+    depend on how many rows the batch has.
+    """
+    return np.vecdot(c, c).real
+
+
+def _new_out(c: np.ndarray, out):
+    return np.empty_like(c) if out is None else out
+
+
 class _MonitoredModel:
     """The detector part shared by the monitored models.
 
@@ -201,11 +222,11 @@ class _MonitoredModel:
     def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
         return self._act(self._generator, c) + self.coupling_derivative(t, c)
 
-    def propagate(self, c: np.ndarray, dt: float) -> np.ndarray:
+    def propagate(self, c: np.ndarray, dt: float, out=None) -> np.ndarray:
         u = self._factors.get(dt)
         if u is None:
             u = self._factors[dt] = self._operator([expm(k * dt) for k in self.detector_blocks])
-        return self._act(u, c)
+        return self._act(u, c, out)
 
 
 class _FourLevelModel(_MonitoredModel):
@@ -215,23 +236,27 @@ class _FourLevelModel(_MonitoredModel):
 
     @staticmethod
     def _operator(blocks):
-        return block_diag(*blocks)
+        # transposed, so that it acts from the right on rows of amplitudes
+        return np.ascontiguousarray(block_diag(*blocks).T)
 
     @staticmethod
-    def _act(op, c):
-        return op @ c
+    def _act(op_t, c, out=None):
+        return np.matmul(c, op_t, out=out)
 
     def basis_labels(self) -> tuple[BasisLabel, ...]:
         return tuple(
             BasisLabel(s, None, d) for s in ("e", "g") for d in ("a", "b")
         )
 
-    def excited_weight(self, c: np.ndarray) -> float:
-        return (c[0].real ** 2 + c[0].imag ** 2) + (c[2].real ** 2 + c[2].imag ** 2)
+    def excited_weight(self, c: np.ndarray) -> np.ndarray:
+        return _weight(c[..., 0::2])
 
     def collapse_amplitudes(self, c: np.ndarray) -> np.ndarray:
         # sigma_- on the detector: a -> b, previous b amplitudes discarded
-        return np.array([0.0, c[0], 0.0, c[2]], dtype=complex)
+        out = np.zeros_like(c)
+        out[..., 1] = c[..., 0]
+        out[..., 3] = c[..., 2]
+        return out
 
     def observables(self):
         return _four_level_observables()
@@ -286,34 +311,39 @@ class RabiMeasuredModel(_FourLevelModel):
         # system in the ground level, detector in its ground level
         return np.array([0, 0, 0, 1], dtype=complex)
 
-    def coupling_derivative(self, t: float, c: np.ndarray) -> np.ndarray:
+    def coupling_derivative(self, t: float, c: np.ndarray, out=None) -> np.ndarray:
         half_wr = 0.5j * self.drive.omega_r
-        ph = np.exp(1j * self.drive.detuning * t)
-        drive_e = half_wr * ph        # e rows pick up + detuning phase
-        drive_g = half_wr / ph
-        return np.array([drive_e * c[2], drive_e * c[3], drive_g * c[0], drive_g * c[1]])
+        ph = cmath.exp(1j * self.drive.detuning * t)
+        out = _new_out(c, out)
+        np.multiply(c[..., 2:], half_wr * ph, out=out[..., :2])   # e rows: + detuning phase
+        np.multiply(c[..., :2], half_wr / ph, out=out[..., 2:])
+        return out
 
     default_observables = ("rho_gg", "rho_ee", "rho_aa")
 
 
 def _four_level_observables():
     def rho_aa(c):
-        return abs(c[0]) ** 2 + abs(c[2]) ** 2
+        return _weight(c[..., 0::2])
 
     def rho_bb(c):
-        return abs(c[1]) ** 2 + abs(c[3]) ** 2
+        return _weight(c[..., 1::2])
 
     def rho_ee(c):
-        return abs(c[0]) ** 2 + abs(c[1]) ** 2
+        return _weight(c[..., :2])
 
     def rho_gg(c):
-        return abs(c[2]) ** 2 + abs(c[3]) ** 2
+        return _weight(c[..., 2:])
+
+    def rho_eg(c):
+        # c_ea conj(c_ga) + c_eb conj(c_gb)
+        return np.vecdot(c[..., 2:], c[..., :2])
 
     def rho_eg_re(c):
-        return (c[0] * np.conj(c[2]) + c[1] * np.conj(c[3])).real
+        return rho_eg(c).real
 
     def rho_eg_im(c):
-        return (c[0] * np.conj(c[2]) + c[1] * np.conj(c[3])).imag
+        return rho_eg(c).imag
 
     return {
         "rho_aa": rho_aa,
@@ -323,6 +353,51 @@ def _four_level_observables():
         "rho_eg_re": rho_eg_re,
         "rho_eg_im": rho_eg_im,
     }
+
+
+class _BandCoupling:
+    """The reservoir coupling of the band models, in the interaction picture.
+
+    The mode phases exp(-i d_k t), d_k = omega_a - omega_k, are computed
+    from the absolute time, never accumulated incrementally, once per time
+    for the whole batch: ``phases(t)`` keeps the vectors of the last time
+    asked for.  The detunings are equally spaced, so mode k = a*B + j (B
+    about sqrt(n_modes)) has d_k = d_{aB} - j*spacing, and its phase is the
+    product of two phases, each evaluated directly: B + n_modes/B complex
+    exponentials per time instead of n_modes.
+    """
+
+    def __init__(self, reservoir: ReservoirSpec):
+        self.n_modes = reservoir.n_modes
+        block = int(np.ceil(np.sqrt(self.n_modes)))
+        self._coarse = -1j * reservoir.mode_detunings()[::block]
+        self._fine = 1j * reservoir.mode_spacing * np.arange(block)
+        g = reservoir.mode_couplings()
+        self._into_modes = -1j * g
+        self._into_system_conj = 1j * g
+        self._to_modes = np.empty(self.n_modes, dtype=complex)
+        self._to_system_conj = np.empty(self.n_modes, dtype=complex)
+        self._t = None
+
+    def phases(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """``-i g_k exp(-i d_k t)``, the factor by which the system amplitude
+        feeds mode k, and the complex conjugate of ``-i g_k exp(i d_k t)``,
+        the factor by which mode k feeds the system (the g_k are real)."""
+        if t != self._t:
+            ph = np.multiply.outer(np.exp(self._coarse * t), np.exp(self._fine * t))
+            ph = ph.ravel()[:self.n_modes]
+            np.multiply(self._into_modes, ph, out=self._to_modes)
+            np.multiply(self._into_system_conj, ph, out=self._to_system_conj)
+            self._t = t
+        return self._to_modes, self._to_system_conj
+
+    def apply(self, t: float, system, modes, out_system, out_modes) -> None:
+        """Write the coupling's action: ``system`` amplitudes (shape (...,))
+        feed ``out_modes`` (shape (..., n_modes)), ``modes`` feed
+        ``out_system``."""
+        to_modes, to_system_conj = self.phases(t)
+        np.vecdot(to_system_conj, modes, out=out_system)
+        np.multiply(to_modes, system[..., None], out=out_modes)
 
 
 class FreeDecayModel:
@@ -338,8 +413,7 @@ class FreeDecayModel:
         self.reservoir = reservoir
         self.dim = reservoir.n_modes + 1
         self.gamma = 0.0
-        self._det = reservoir.mode_detunings()
-        self._g = reservoir.mode_couplings().astype(complex)
+        self._band = _BandCoupling(reservoir)
 
     def basis_labels(self) -> tuple[BasisLabel, ...]:
         labels = [BasisLabel("e", 0, None)]
@@ -351,33 +425,33 @@ class FreeDecayModel:
         c[0] = 1.0
         return c
 
-    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
-        gph = self._g * np.exp(1j * self._det * t)
-        d = np.empty_like(c)
-        d[0] = -1j * np.dot(gph, c[1:])
-        d[1:] = -1j * np.conj(gph) * c[0]
-        return d
-
-    def coupling_derivative(self, t: float, c: np.ndarray) -> np.ndarray:
+    def coupling_derivative(self, t: float, c: np.ndarray, out=None) -> np.ndarray:
         # no detector: the whole generator is the reservoir coupling
-        return self.derivative(t, c)
+        out = _new_out(c, out)
+        self._band.apply(t, c[..., 0], c[..., 1:], out[..., 0], out[..., 1:])
+        return out
 
-    def propagate(self, c: np.ndarray, dt: float) -> np.ndarray:
-        return c
+    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
+        return self.coupling_derivative(t, c)
 
-    def excited_weight(self, c: np.ndarray) -> float:
-        return 0.0
+    def propagate(self, c: np.ndarray, dt: float, out=None) -> np.ndarray:
+        if out is None:
+            return c.copy()
+        np.copyto(out, c)
+        return out
+
+    def excited_weight(self, c: np.ndarray) -> np.ndarray:
+        return np.zeros(c.shape[:-1])
 
     def collapse_amplitudes(self, c: np.ndarray) -> np.ndarray:
         raise ValueError("free decay model has no jump operator")
 
     def observables(self):
         def rho_ee(c):
-            return abs(c[0]) ** 2
+            return _weight(c[..., :1])
 
         def rho_gg(c):
-            a = c[1:]
-            return float(np.real(np.vdot(a, a)))
+            return _weight(c[..., 1:])
 
         return {"rho_ee": rho_ee, "rho_gg": rho_gg}
 
@@ -395,11 +469,10 @@ class MeasuredDecayModel(_MonitoredModel):
     """
 
     def __init__(self, reservoir: ReservoirSpec, detector: DetectorParams):
-        super().__init__(detector)
         self.reservoir = reservoir
         self.dim = 2 * (reservoir.n_modes + 1)
-        self._det = reservoir.mode_detunings()
-        self._g = reservoir.mode_couplings().astype(complex)
+        self._band = _BandCoupling(reservoir)
+        super().__init__(detector)
 
     def basis_labels(self) -> tuple[BasisLabel, ...]:
         labels = [BasisLabel("e", 0, "a"), BasisLabel("e", 0, "b")]
@@ -413,45 +486,46 @@ class MeasuredDecayModel(_MonitoredModel):
         c[1] = 1.0  # |e,0,b>
         return c
 
-    @staticmethod
-    def _operator(blocks):
+    def _operator(self, blocks):
+        # Every row is an (a, b) pair of adjacent slots, so the block-diagonal
+        # operator is a diagonal plus a within-pair swap: out = diag*c +
+        # swap*(c with each pair exchanged).  Both are stored per slot.
         ue, ug = blocks
-        return ue, np.ascontiguousarray(ug.T)
+        n_pairs = self.dim // 2
+        diag = np.tile(np.diag(ug), n_pairs)
+        swap = np.tile([ug[0, 1], ug[1, 0]], n_pairs)
+        diag[:2] = np.diag(ue)
+        swap[:2] = ue[0, 1], ue[1, 0]
+        return diag, swap
 
     @staticmethod
-    def _act(op, c):
-        ue, ug_t = op
-        out = np.empty_like(c)
-        out[:2] = ue @ c[:2]
-        out[2:] = (c[2:].reshape(-1, 2) @ ug_t).ravel()   # one ground block per mode
+    def _act(op, c, out=None):
+        diag, swap = op
+        out = np.multiply(c, diag, out=out)
+        out[..., 0::2] += swap[0::2] * c[..., 1::2]
+        out[..., 1::2] += swap[1::2] * c[..., 0::2]
         return out
 
-    def coupling_derivative(self, t: float, c: np.ndarray) -> np.ndarray:
-        gph = self._g * np.exp(1j * self._det * t)
-        mcgph = -1j * np.conj(gph)
-        d = np.empty_like(c)
-        d[0] = -1j * np.dot(gph, c[2::2])
-        d[1] = -1j * np.dot(gph, c[3::2])
-        d[2::2] = mcgph * c[0]
-        d[3::2] = mcgph * c[1]
-        return d
+    def coupling_derivative(self, t: float, c: np.ndarray, out=None) -> np.ndarray:
+        out = _new_out(c, out)
+        for d in (0, 1):    # the coupling keeps the detector level
+            self._band.apply(t, c[..., d], c[..., 2 + d::2], out[..., d], out[..., 2 + d::2])
+        return out
 
-    def excited_weight(self, c: np.ndarray) -> float:
-        ca = c[::2]
-        return float(np.real(np.vdot(ca, ca)))
+    def excited_weight(self, c: np.ndarray) -> np.ndarray:
+        return _weight(c[..., 0::2])
 
     def collapse_amplitudes(self, c: np.ndarray) -> np.ndarray:
         out = np.zeros_like(c)
-        out[1::2] = c[::2]
+        out[..., 1::2] = c[..., 0::2]
         return out
 
     def observables(self):
         def rho_ee(c):
-            return abs(c[0]) ** 2 + abs(c[1]) ** 2
+            return _weight(c[..., :2])
 
         def rho_gg(c):
-            a = c[2:]
-            return float(np.real(np.vdot(a, a)))
+            return _weight(c[..., 2:])
 
         def rho_aa(c):
             return self.excited_weight(c)

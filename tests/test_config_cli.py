@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from zenosim import cli
-from zenosim.config import ConfigError, load_config_file, preset
+from zenosim.config import ConfigError, build_model, load_config_file, preset
+from zenosim.engine import RngStream, run_trajectory
 from zenosim.ensemble import run_ensemble
-from zenosim.output import read_ensemble_csv, write_ensemble_csv
+from zenosim.output import read_ensemble_csv, write_ensemble_csv, write_trajectory_csv
 
 
 class TestPresetTable:
@@ -191,6 +192,22 @@ class TestCli:
         assert manifest["config"]["detector"]["gamma"] == 10.0
         header = (out / "trajectory_0000.csv").read_text().splitlines()[0]
         assert header.startswith("t,") and header.endswith(",jump")
+
+    def test_per_trajectory_csv_matches_replay(self, tmp_path):
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "fig2", "--output", str(out), "--per-trajectory",
+                         "--t-max", "10", "--n-trajectories", "5", "--workers", "2"])
+        assert code == 0
+        cfg = preset("fig2").with_overrides(t_max=10.0, n_trajectories=5)
+        model = build_model(cfg.model)
+        jumps = 0
+        for i in range(5):
+            rec = run_trajectory(model, cfg, RngStream(cfg.master_seed, i))
+            jumps += len(rec.jumps)
+            write_trajectory_csv(tmp_path / "replay.csv", rec)
+            assert ((out / f"trajectory_{i:04d}.csv").read_bytes()
+                    == (tmp_path / "replay.csv").read_bytes())
+        assert jumps > 0
 
     def test_simulate_config_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from zenosim import engine
 from zenosim.config import DEFAULT_MASTER_SEED, ModelSpec, RunConfig, build_model, preset
 from zenosim.engine import (
     JumpProbabilityWarning,
@@ -10,6 +11,7 @@ from zenosim.engine import (
     collapse,
     deterministic_step,
     jump_probability,
+    run_batch,
     run_trajectory,
 )
 from zenosim.models import DetectorMeasurementModel, DetectorParams, DriveParams, RabiMeasuredModel
@@ -258,3 +260,25 @@ class TestRunTrajectory:
         model = build_model(cfg.model)
         rec = run_trajectory(model, cfg, RngStream(9, 1))
         assert np.isfinite(rec.observables["rho_aa"]).all()
+
+
+class TestBatchInvariance:
+    """A trajectory's record depends only on (model, config, stream): not on
+    the batch it runs in, nor on how its uniforms are drawn in blocks."""
+
+    def test_rows_do_not_depend_on_batch(self, batch_case, assert_same_record, monkeypatch):
+        name, cfg = batch_case
+        streams = [RngStream(cfg.master_seed, i) for i in range(cfg.n_trajectories)]
+        whole = run_batch(build_model(cfg.model), cfg, streams)
+        for size in (1, 7):
+            for lo in range(0, len(streams), size):
+                part = run_batch(build_model(cfg.model), cfg, streams[lo:lo + size])
+                for k in range(len(part.streams)):
+                    assert_same_record(part.record(k), whole.record(lo + k))
+        assert engine.UNIFORM_BLOCK > round(cfg.t_max / cfg.dt)
+        monkeypatch.setattr(engine, "UNIFORM_BLOCK", 7)
+        blocked = run_batch(build_model(cfg.model), cfg, streams)
+        for k in range(len(streams)):
+            assert_same_record(blocked.record(k), whole.record(k))
+        n_jumps = sum(len(j) for j in whole.jumps)
+        assert (n_jumps == 0) if name == "freedecay" else (n_jumps > 0)

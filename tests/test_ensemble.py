@@ -9,6 +9,7 @@ from zenosim.ensemble import (
     default_fit_window,
     default_workers,
     fit_exponential_rate,
+    mean_and_stderr,
     run_ensemble,
 )
 from zenosim.models import DetectorParams
@@ -109,13 +110,36 @@ class TestRunEnsemble:
         monkeypatch.setenv("ZENOSIM_WORKERS", "3")
         assert default_workers() == 3
 
+    @pytest.mark.filterwarnings("ignore::zenosim.engine.JumpProbabilityWarning")
     def test_failing_trajectories_abort(self):
         # a step so large that the very first jump decision overflows
         spec = ModelSpec("detector", detector=DetectorParams(gamma=10.0, lam=1.0))
         cfg = RunConfig(spec, dt=0.15, t_max=3.0, n_trajectories=3,
                         initial_amplitudes=np.array([0, 0, 1, 0], complex))
-        with pytest.raises((ProbabilityOverflow, RuntimeError)):
+        with pytest.raises(ProbabilityOverflow, match=r"trajectory=0\)"):
             run_ensemble(cfg, workers=1)
+        # only trajectory 7 of twelve overflows, inside a chunk and not at
+        # its start: the error names it, not the chunk
+        spec = ModelSpec("detector", detector=DetectorParams(gamma=6.0, lam=2.0))
+        cfg = RunConfig(spec, dt=0.4, t_max=5.0, n_trajectories=12, master_seed=23)
+        failing = r"\(master_seed=23, trajectory=7\)"
+        for workers in (1, 2):
+            with pytest.raises(ProbabilityOverflow, match=failing):
+                run_ensemble(cfg, workers=workers)
+        with pytest.raises(ProbabilityOverflow, match=failing):
+            run_trajectory(build_model(spec), cfg, RngStream(23, 7))
+
+    def test_records_do_not_depend_on_workers(self, batch_case, assert_same_record):
+        _, cfg = batch_case
+        runs = [run_ensemble(cfg, workers=w, keep_curves=True) for w in (1, 2)]
+        model = build_model(cfg.model)
+        for i in range(cfg.n_trajectories):
+            replay = run_trajectory(model, cfg, RngStream(cfg.master_seed, i))
+            for stats in runs:
+                assert_same_record(stats.record(i), replay)
+        for k in runs[0].mean:
+            np.testing.assert_array_equal(runs[0].mean[k], runs[1].mean[k])
+            np.testing.assert_array_equal(runs[0].std_error[k], runs[1].std_error[k])
 
     def test_std_error_scales_with_ensemble_size(self):
         cfg_small = self.small_config(n=250, t_max=20.0)
@@ -126,6 +150,16 @@ class TestRunEnsemble:
         ratio = np.median(small.std_error["rho_aa"][mid]
                           / large.std_error["rho_aa"][mid])
         assert ratio == pytest.approx(2.0, rel=0.20)
+
+
+class TestMeanAndStderr:
+    def test_stable_far_from_zero(self):
+        # the one-pass E[x^2] - E[x]^2 cancels to nothing at this offset
+        rng = np.random.default_rng(5)
+        curves = 1e8 + 1e-3 * rng.normal(size=(400, 30))
+        mean, se = mean_and_stderr(curves)
+        np.testing.assert_allclose(mean, curves.mean(axis=0), rtol=1e-15)
+        np.testing.assert_allclose(se, curves.std(axis=0, ddof=1) / np.sqrt(400), rtol=1e-9)
 
 
 class TestBlockRateEstimate:
