@@ -5,10 +5,11 @@ the same numbers:
 
 * closed forms (lowest order, band-corrected, measurement-modified),
 * the pole of the resolvent / of the damped-coherence rate equation in the
-  Laplace domain (adaptive quadrature plus Newton),
-* dense density-matrix integration on a coarsened band.
+  Laplace domain (the inner band integral in closed form, one adaptive
+  quadrature for the outer one, Newton for the root),
+* density-matrix integration on a coarsened 201-mode band.
 
-Run:  python demos/07_rate_oracles.py   (about two minutes)
+Run:  python demos/07_rate_oracles.py   (about ten seconds)
 """
 
 import numpy as np
@@ -64,7 +65,7 @@ for tau in (10.0, 20.0, 50.0):
           f"({abs(series - pole) / pole:.1%} apart)")
 print()
 
-print("dense density matrix on a 201-mode band (flat coupling):")
+print("density matrix on a 201-mode band (flat coupling):")
 times, pops = dmref.evolve_measured_decay_dm(flat.with_modes(201), TAU_M,
                                              t_max=200.0, dt=0.05)
 mask = times >= 2 * TAU_M

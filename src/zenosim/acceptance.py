@@ -421,7 +421,9 @@ def criterion_measured_decay_anti_zeno(runs: AcceptanceRuns) -> CriterionResult:
     res = CriterionResult("measured-decay-anti-zeno")
     stats = runs.anti_zeno_stats()
     reservoir = preset("fig12").model.reservoir
-    expected = oracles.anti_zeno_rate(reservoir, TAU_M).rate
+    # the first-order series anti_zeno_rate is outside its range at
+    # half_width*tau_m = 2.5; the Laplace root of its parent equation is not
+    expected = oracles.laplace_decay_rate(reservoir, TAU_M)
     free_rate = oracles.corrected_free_decay_rate(reservoir).rate
 
     m = stats.mean["rho_ee"]
@@ -430,7 +432,7 @@ def criterion_measured_decay_anti_zeno(runs: AcceptanceRuns) -> CriterionResult:
     fit = fit_exponential_rate(stats.times, m, window)
     scale = _mc_scale(200, stats.n_trajectories)
     tol = 0.20 * scale
-    res.add("measured decay rate", fit.rate, expected, f"rel {tol:.3g}",
+    res.add("measured decay rate vs Laplace root", fit.rate, expected, f"rel {tol:.3g}",
             abs(fit.rate - expected) <= tol * expected)
 
     rate_mean, rate_se, _ = block_rate_estimate(

@@ -5,11 +5,18 @@ finer step than the stochastic engine, so their error is negligible against
 Monte Carlo error.  Populations from a large trajectory ensemble must agree
 with them pointwise; that comparison is the core consistency check of the
 whole package.
+
+Every reference here has a constant linear generator L, so its RK4 step is
+the degree-4 Taylor polynomial of exp(dt L), applied in Horner form by
+``_rk4``.  The 4-level master equation and the detector's reduced equations
+are small: RK4 applied to the identity gives their step matrix once, and
+each step (or each recorded point, for a power of it) is a single matvec.
+The band density matrix is large but its Hamiltonian is arrowhead shaped
+(a diagonal plus row and column 0), so its commutator costs O(n^2) and RK4
+is applied to rho itself.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,22 +29,6 @@ TRACE_TOL = 1e-7
 
 class ToleranceExceeded(RuntimeError):
     """Integrator drifted outside the density-matrix invariants."""
-
-
-@dataclass
-class DensityMatrix:
-    """Dense Hermitian unit-trace matrix over a model basis."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError("density matrix must be square")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def check_density_matrix(rho: np.ndarray, hermiticity_tol: float = 1e-10,
@@ -54,20 +45,27 @@ def check_density_matrix(rho: np.ndarray, hermiticity_tol: float = 1e-10,
         raise ToleranceExceeded(f"negative eigenvalue {eigs.min():.3g}")
 
 
-def _rk4(rhs, y, dt):
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(apply, y, dt, work=None):
+    """One classical RK4 step of y' = L y for a constant linear generator L.
+
+    For such an L the four stages collapse to the degree-4 Horner form
+    y + dt L(y + dt/2 L(y + dt/3 L(y + dt/4 L y))).  ``apply(v, out)``
+    writes L v into ``out``, which never aliases ``v``.  ``work`` holds two
+    arrays shaped like ``y``; the new state is returned in the first one.
+    """
+    w, k = work if work is not None else (np.empty_like(y), np.empty_like(y))
+    w[...] = y
+    for c in (0.25 * dt, dt / 3.0, 0.5 * dt, dt):
+        apply(w, k)
+        np.multiply(k, c, out=w)
+        w += y
+    return w
 
 
-def _rk4_t(rhs, t, y, dt):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
+    """The RK4 step of y' = generator @ y as one matrix."""
+    return _rk4(lambda m, out: np.matmul(generator, m, out=out),
+                np.eye(len(generator), dtype=complex), dt)
 
 
 _SM = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -77,8 +75,17 @@ _I2 = np.eye(2, dtype=complex)
 
 
 def _four_level_operators(spec: ModelSpec):
-    """Hamiltonian pieces and dissipator operators on the (system x detector)
-    four-level basis |e,a>, |e,b>, |g,a>, |g,b>."""
+    """Hamiltonian, detector lowering operator, detector decay rate and frame
+    frequency on the (system x detector) four-level basis |e,a>, |e,b>,
+    |g,a>, |g,b>.
+
+    The rabi variant is in the interaction picture, where the drive carries
+    the phase exp(i detuning t) on |e><g|.  In the frame rotating by
+    exp(i detuning t P_e) (P_e the system's excited projector) that drive is
+    constant and P_e gains the energy detuning; the detector parts commute
+    with P_e and do not change.  rho_eg of the lab frame is the rotating
+    one times exp(i detuning t).
+    """
     det = spec.detector
     proj_e = np.diag([1.0, 0.0]).astype(complex)
     proj_g = np.diag([0.0, 1.0]).astype(complex)
@@ -87,24 +94,20 @@ def _four_level_operators(spec: ModelSpec):
     h_int = det.lam * np.kron(mon, _SX)
     sm = np.kron(_I2, _SM)
     if spec.variant == "detector":
-        h_sys = spec.omega_a * np.kron(proj_e, _I2)
-        h_static = h_sys + h_det + h_int
-        drive = None
-    else:
-        # interaction picture: no static system term, explicit drive phases
-        h_static = h_det + h_int
-        omega_r, detuning = spec.drive.omega_r, spec.drive.detuning
+        return spec.omega_a * np.kron(proj_e, _I2) + h_det + h_int, sm, det.gamma, 0.0
+    omega_r, detuning = spec.drive.omega_r, spec.drive.detuning
+    # -0.5 omega_r (|e><g| + |g><e|) on the system, the 2x2 of _SX
+    drive = -0.5 * omega_r * np.kron(_SX, _I2)
+    return h_det + h_int + drive + detuning * np.kron(proj_e, _I2), sm, det.gamma, detuning
 
-        def drive(t):
-            v = np.zeros((4, 4), complex)
-            ph = -0.5 * omega_r * np.exp(1j * detuning * t)
-            v[0, 2] = ph
-            v[1, 3] = ph
-            v[2, 0] = np.conj(ph)
-            v[3, 1] = np.conj(ph)
-            return v
 
-    return h_static, drive, sm, det.gamma
+def _liouvillian(h: np.ndarray, sm: np.ndarray, gamma: float) -> np.ndarray:
+    """-i[h, rho] + gamma (sm rho sm^+ - {sm^+ sm, rho}/2) as a matrix acting
+    on rho.reshape(-1) (row-major: A rho B -> kron(A, B^T))."""
+    eye = np.eye(len(h))
+    spsm = sm.conj().T @ sm
+    return (-1j * (np.kron(h, eye) - np.kron(eye, h.T))
+            + gamma * (np.kron(sm, sm.conj()) - 0.5 * (np.kron(spsm, eye) + np.kron(eye, spsm.T))))
 
 
 def evolve_master_detector(spec: ModelSpec, t_max: float, dt: float,
@@ -113,14 +116,16 @@ def evolve_master_detector(spec: ModelSpec, t_max: float, dt: float,
     """Integrate the monitored-system master equation on the 4-level basis.
 
     ``spec`` must be a 'detector' or 'rabi' ModelSpec.  Returns
-    (times, rhos) with rhos of shape (n_rec, 4, 4).  Hermiticity is checked
-    at every recorded step; trace preservation holds to integrator accuracy.
+    (times, rhos) with rhos of shape (n_rec, 4, 4): t = 0 and every
+    ``record_every``-th of the round(t_max/dt) RK4 steps of size ``dt``.
+    The generator is constant (in the rotating frame for a detuned drive),
+    so the RK4 step is one 16x16 matrix and ``record_every`` steps are its
+    power: one matvec per recorded point.  Hermiticity is checked at every
+    recorded point; trace preservation holds to integrator accuracy.
     """
     if spec.variant not in ("detector", "rabi"):
         raise ValueError("master-equation reference covers the 4-level models only")
-    h_static, drive, sm, gamma = _four_level_operators(spec)
-    sp = sm.conj().T
-    spsm = sp @ sm
+    h, sm, gamma, detuning = _four_level_operators(spec)
 
     if rho0 is None:
         if spec.variant == "detector":
@@ -132,23 +137,24 @@ def evolve_master_detector(spec: ModelSpec, t_max: float, dt: float,
         rho = np.asarray(rho0, dtype=complex).copy()
         check_density_matrix(rho, hermiticity_tol=1e-10, trace_tol=1e-9)
 
-    def rhs(t, r):
-        h = h_static if drive is None else h_static + drive(t)
-        comm = h @ r - r @ h
-        return -1j * comm + gamma * (sm @ r @ sp - 0.5 * (spsm @ r + r @ spsm))
-
-    n_steps = int(round(t_max / dt))
-    times = [0.0]
-    rhos = [rho.copy()]
-    for i in range(n_steps):
-        rho = _rk4_t(rhs, i * dt, rho, dt)
-        if (i + 1) % record_every == 0:
-            herm = np.max(np.abs(rho - rho.conj().T))
-            if herm > HERMITICITY_TOL:
-                raise ToleranceExceeded(f"hermiticity drift {herm:.3g} at t={(i+1)*dt}")
-            times.append((i + 1) * dt)
-            rhos.append(rho.copy())
-    return np.array(times), np.array(rhos)
+    prop = np.linalg.matrix_power(_step_matrix(_liouvillian(h, sm, gamma), dt),
+                                  record_every)
+    n_rec = int(round(t_max / dt)) // record_every
+    times = np.arange(n_rec + 1) * record_every * dt
+    vecs = np.empty((n_rec + 1, 16), complex)
+    vecs[0] = rho.reshape(16)
+    for i in range(n_rec):
+        vecs[i + 1] = prop @ vecs[i]
+    rhos = vecs.reshape(-1, 4, 4)
+    # back to the lab frame: rho_eg picks up exp(i detuning t)
+    excited = np.array([1.0, 1.0, 0.0, 0.0])
+    rhos *= np.exp(1j * detuning * times[:, None, None]
+                   * (excited[:, None] - excited[None, :]))
+    herm = np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))
+    if np.any(herm > HERMITICITY_TOL):
+        i = int(np.argmax(herm > HERMITICITY_TOL))
+        raise ToleranceExceeded(f"hermiticity drift {herm[i]:.3g} at t={times[i]}")
+    return times, rhos
 
 
 def four_level_populations(rhos: np.ndarray) -> dict[str, np.ndarray]:
@@ -177,25 +183,56 @@ def detector_reduced_odes(t_max: float, dt: float, params: DetectorParams):
     rho_ba) as complex arrays.
     """
     gamma, lam, omega_d = params.gamma, params.lam, params.omega_d
-
-    def rhs(y):
-        aa, bb, ab, ba = y
-        return np.array([
-            1j * lam * ab - gamma * aa,
-            1j * lam * ba + gamma * aa,
-            -1j * omega_d * ab + 1j * lam * aa - 0.5 * gamma * ab,
-            1j * omega_d * ba + 1j * lam * bb - 0.5 * gamma * ba,
-        ], dtype=complex)
-
-    y = np.array([0, 1, 0, 0], dtype=complex)
+    # d/dt (aa, bb, ab, ba)
+    generator = np.array([
+        [-gamma, 0, 1j * lam, 0],
+        [gamma, 0, 0, 1j * lam],
+        [1j * lam, 0, -1j * omega_d - 0.5 * gamma, 0],
+        [0, 1j * lam, 0, 1j * omega_d - 0.5 * gamma],
+    ], dtype=complex)
+    step = _step_matrix(generator, dt)
     n_steps = int(round(t_max / dt))
     out = np.empty((n_steps + 1, 4), dtype=complex)
-    out[0] = y
+    out[0] = (0, 1, 0, 0)
     for i in range(n_steps):
-        y = _rk4(rhs, y, dt)
-        out[i + 1] = y
+        out[i + 1] = step @ out[i]
     times = np.arange(n_steps + 1) * dt
     return times, out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+
+
+def _arrowhead_generator(d: np.ndarray, g: np.ndarray, damp: np.ndarray):
+    """``apply(r, out)``: out = -i[h, r] - damp * r for the arrowhead
+    h = diag(d) + row and column 0, with h[0, 1:] = g and h[1:, 0] = conj(g).
+
+    The diagonal part of the commutator and the damping are one elementwise
+    factor; the rest, with gh = (0, g) and e0 the unit vector of index 0,
+
+        e0 (gh r) - (r gh*) e0^T + gh* r[0] - r[:, 0] gh,
+
+    is two matvecs into row and column 0 plus a rank-two product, so a call
+    costs O(n^2) where a dense h @ r costs O(n^3).
+    """
+    n = len(d)
+    factor = -1j * (d[:, None] - d[None, :]) - damp
+    gh = np.zeros(n, complex)
+    gh[1:] = g
+    ghc = gh.conj()
+    cols = np.empty((n, 2), complex)       # (gh*, r[:, 0])
+    cols[:, 0] = ghc
+    rows = np.empty((2, n), complex)       # (-i r[0], i gh)
+    rows[1] = 1j * gh
+    tmp = np.empty((n, n), complex)
+
+    def apply(r, out):
+        cols[:, 1] = r[:, 0]
+        np.multiply(r[0], -1j, out=rows[0])
+        np.matmul(cols, rows, out=out)
+        np.multiply(factor, r, out=tmp)
+        out += tmp
+        out[0] -= 1j * (gh @ r)
+        out[:, 0] += 1j * (r @ ghc)
+
+    return apply
 
 
 def evolve_measured_decay_dm(res: ReservoirSpec, tau_m: float, t_max: float,
@@ -204,9 +241,14 @@ def evolve_measured_decay_dm(res: ReservoirSpec, tau_m: float, t_max: float,
 
     Integrates the single-excitation Liouville-von Neumann equation with
     the system <-> reservoir coherences additionally damped at 1/tau_m (the
-    detector enters through that rate only).  Dense (n_modes+1)^2 storage,
-    so the mode count is capped at 201; use ReservoirSpec.with_modes to
-    coarsen the band while preserving the decay rate.
+    detector enters through that rate only).  The Hamiltonian is arrowhead
+    shaped, so each RK4 stage costs O(n^2) (``_arrowhead_generator``)
+    instead of the O(n^3) of dense products.  rho is still stored densely,
+    (n_modes+1)^2 complex entries in each of four work arrays, so a
+    1001-mode band would cost about 25 times the time and memory of the
+    201-mode one: the mode count stays capped at 201.  Use
+    ReservoirSpec.with_modes to coarsen the band while preserving the decay
+    rate.
 
     Returns (times, populations) where populations is the excited-state
     occupation.  Raises ToleranceExceeded if the trace drifts beyond 1e-7.
@@ -216,22 +258,18 @@ def evolve_measured_decay_dm(res: ReservoirSpec, tau_m: float, t_max: float,
     if tau_m <= 0:
         raise ValueError("tau_m must be > 0")
     dim = res.n_modes + 1
-    g = res.mode_couplings().astype(complex)
 
     # global frequency shift by omega_a drops out of the commutator
-    h = np.zeros((dim, dim), complex)
-    h[np.arange(1, dim), np.arange(1, dim)] = -res.mode_detunings()
-    h[0, 1:] = g
-    h[1:, 0] = np.conj(g)
+    d = np.zeros(dim)
+    d[1:] = -res.mode_detunings()
     damp = np.zeros((dim, dim))
     damp[0, 1:] = 1.0 / tau_m
     damp[1:, 0] = 1.0 / tau_m
-
-    def rhs(r):
-        return -1j * (h @ r - r @ h) - damp * r
+    apply = _arrowhead_generator(d, res.mode_couplings().astype(complex), damp)
 
     rho = np.zeros((dim, dim), complex)
     rho[0, 0] = 1.0
+    work = (np.empty_like(rho), np.empty_like(rho))
 
     n_steps = int(round(t_max / dt))
     if record_every is None:
@@ -239,7 +277,7 @@ def evolve_measured_decay_dm(res: ReservoirSpec, tau_m: float, t_max: float,
     times = [0.0]
     pops = [1.0]
     for i in range(n_steps):
-        rho = _rk4(rhs, rho, dt)
+        rho[...] = _rk4(apply, rho, dt, work)
         if (i + 1) % record_every == 0:
             drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
             if drift > TRACE_TOL:

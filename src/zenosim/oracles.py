@@ -9,6 +9,7 @@ measurement-modified rates depend on.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 
@@ -222,12 +223,8 @@ def lorentzian_overlap_rate(res: ReservoirSpec, tau_m: float) -> RatePrediction:
 # Laplace-domain rate equation for the measured decaying system
 
 
-def _complex_quad(f, lo, hi, epsrel, points=None):
+def _complex_quad(f, lo, hi, epsrel):
     kw = dict(epsabs=1e-14, epsrel=epsrel, limit=400, full_output=1)
-    if points is not None:
-        pts = sorted({float(p) for p in points if lo < p < hi})
-        if pts:
-            kw["points"] = pts
     re, re_err, *_ = integrate.quad(lambda x: f(x).real, lo, hi, **kw)
     im, im_err, *_ = integrate.quad(lambda x: f(x).imag, lo, hi, **kw)
     val = re + 1j * im
@@ -247,11 +244,25 @@ def laplace_rate_equation_residual(z: complex, res: ReservoirSpec, tau_m: float,
     The population's pole is the zero of this residual; its negative real
     part is the decay rate.  Integrals run over the band in the detuning
     variable (so the result cannot depend on the absolute system
-    frequency).  The ``1/(z + i(w - w'))`` kernel is continued analytically
-    across Re z = 0: the pole it drags over the integration contour for
-    Re z < 0 is picked up as an explicit residue term, making the returned
-    function the analytic continuation of the Re z > 0 Laplace data, where
-    the physical pole lives.
+    frequency).  With the band weight G(x) = rho0 g(x)^2 and c = 1/tau_m,
+
+        R(z) = z + int dx G(x) [b(x, x) - int dx' G(x') b(x, x')^2 / (z + i(x - x'))],
+        b(x, x') = 1/(z + c + i x) + 1/(z + c - i x').
+
+    The inner x' integral is done in closed form.  In x' the kernel has a
+    simple pole at p1 = x - i z and the bracket a double pole at
+    p2 = -i (z + c); partial fractions over them (|p1 - p2| >= c, so never
+    degenerate) leave int G/(x' - p) and int G/(x' - p)^2, which for the
+    quadratic G are polynomials in p plus G(p) times the log
+
+        L(p) = log(h - p) - log(h + p) - i pi,   h = half_width.
+
+    L equals the band integral of 1/(x' - p) for Im p < 0, which covers
+    every p for Re z > 0, and it is analytic across the band segment.  So
+    for Re z < 0, where the kernel pole p1 has crossed the band, the
+    residual is the analytic continuation of the Re z > 0 Laplace data,
+    where the physical pole lives, with no residue term to add by hand.
+    Only the outer x integral is numeric.
     """
     if tau_m <= 0:
         raise ValueError("tau_m must be > 0")
@@ -262,33 +273,38 @@ def laplace_rate_equation_residual(z: complex, res: ReservoirSpec, tau_m: float,
     half = res.half_width
     rho_g2 = res.density_of_states * res.g0 ** 2
     a_over = res.slope / res.half_width
+    curv = rho_g2 * a_over * a_over   # G''/2
 
     def G(x):
         # band density times |coupling|^2 at detuning x = w - omega_a
         return rho_g2 * (1.0 + a_over * x) ** 2
 
-    def bracket(x, xp):
-        return (1.0 / (z + 1j * x + inv_tau) + 1.0 / (z - 1j * xp + inv_tau))
+    def G1(x):
+        return 2.0 * rho_g2 * a_over * (1.0 + a_over * x)
 
-    term1 = _complex_quad(lambda x: G(x) * bracket(x, x), -half, half, epsrel)
+    def L(p):
+        return cmath.log(half - p) - cmath.log(half + p) - 1j * np.pi
 
-    # half-width of the sharp diagonal feature in the inner integral
-    feature = abs(z.real) if z.real != 0.0 else 0.0
+    def I1(p):
+        # int G(x')/(x' - p) dx' over the band, by G's Taylor expansion at p
+        return G(p) * L(p) + 2.0 * half * (G1(p) - curv * p)
 
-    def inner(x):
-        def f(xp):
-            b = bracket(x, xp)
-            return G(xp) / (z + 1j * (x - xp)) * b * b
-        pts = [x - 5 * feature, x, x + 5 * feature] if feature else [x]
-        val = _complex_quad(f, -half, half, epsrel, points=pts)
-        if z.real < 0.0:
-            xp_star = x - 1j * z
-            b = bracket(x, xp_star)
-            val = val + 2.0 * np.pi * G(xp_star) * b * b
-        return val
+    p2 = -1j * (z + inv_tau)
+    I1_p2 = I1(p2)
+    # int G(x')/(x' - p2)^2 dx', likewise
+    I2_p2 = G1(p2) * L(p2) + 2.0 * half * (curv - G(p2) / (half * half - p2 * p2))
 
-    term2 = _complex_quad(lambda x: G(x) * inner(x), -half, half, epsrel)
-    return z + term1 - term2
+    def integrand(x):
+        a = 1.0 / (z + inv_tau + 1j * x)
+        p1 = x - 1j * z
+        d = x + 1j * inv_tau        # p1 - p2
+        i1 = I1(p1)
+        diff = (i1 - I1_p2) / d
+        # i/(x'-p1) * (a + i/(x'-p2))^2 in partial fractions, integrated
+        inner = 1j * (a * a * i1 + 2j * a * diff - (diff - I2_p2) / d)
+        return G(x) * (a + 1.0 / (z + inv_tau - 1j * x) - inner)
+
+    return z + _complex_quad(integrand, -half, half, epsrel)
 
 
 def laplace_decay_rate(res: ReservoirSpec, tau_m: float, z0: complex | None = None,

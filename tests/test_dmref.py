@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zenosim import dmref
+from zenosim import dmref, preset
 from zenosim.config import ModelSpec
 from zenosim.models import DetectorParams, DriveParams, FreeDecayModel, ReservoirSpec
 
@@ -135,6 +135,123 @@ class TestMeasuredDecayDm:
         res = ReservoirSpec(n_modes=301, half_width=0.5, g0=0.001)
         with pytest.raises(ValueError):
             dmref.evolve_measured_decay_dm(res, 5.0, 1.0, 0.05)
+
+
+def rk4_step(rhs, t, y, dt):
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = rhs(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def lab_frame_master(spec, t_max, dt, record_every):
+    """The master equation as it was integrated before the constant
+    Liouvillian: four-stage RK4 on 4x4 rho, drive phases in the lab frame."""
+    sx = np.array([[0, 1], [1, 0]], complex)
+    sm = np.kron(np.eye(2), np.array([[0, 0], [1, 0]], complex))
+    det = spec.detector
+    mon = np.diag([0.0, 1.0] if det.coupling_target == "ground" else [1.0, 0.0])
+    h = 0.5 * det.omega_d * np.kron(np.eye(2), np.diag([1.0, -1.0])) \
+        + det.lam * np.kron(mon, sx)
+    if spec.variant == "detector":
+        h = h + spec.omega_a * np.kron(np.diag([1.0, 0.0]), np.eye(2))
+        psi = np.array([0, 1, 0, 1], complex) / np.sqrt(2)
+    else:
+        psi = np.array([0, 0, 0, 1], complex)
+
+    def ham(t):
+        if spec.variant == "detector":
+            return h
+        v = np.zeros((4, 4), complex)
+        ph = -0.5 * spec.drive.omega_r * np.exp(1j * spec.drive.detuning * t)
+        v[0, 2] = v[1, 3] = ph
+        v[2, 0] = v[3, 1] = np.conj(ph)
+        return h + v
+
+    sp = sm.conj().T
+    spsm = sp @ sm
+
+    def rhs(t, r):
+        hh = ham(t)
+        return -1j * (hh @ r - r @ hh) + det.gamma * (sm @ r @ sp - 0.5 * (spsm @ r + r @ spsm))
+
+    rho = np.outer(psi, psi.conj())
+    rhos = [rho]
+    for i in range(int(round(t_max / dt))):
+        rho = rk4_step(rhs, i * dt, rho, dt)
+        if (i + 1) % record_every == 0:
+            rhos.append(rho)
+    return np.array(rhos)
+
+
+class TestConstantGeneratorMaster:
+    @pytest.mark.parametrize("name", ["fig2", "fig5"])
+    def test_matches_explicit_rk4(self, name):
+        spec = preset(name).model
+        times, rhos = dmref.evolve_master_detector(spec, 30.0, 0.01, record_every=10)
+        ref = lab_frame_master(spec, 30.0, 0.01, 10)
+        assert times == pytest.approx(np.arange(301) * 0.1, abs=1e-12)
+        assert np.max(np.abs(rhos - ref)) <= 1e-12
+
+    def test_detuned_drive_in_rotating_frame(self):
+        # RK4 in the rotating and in the lab frame differ by truncation
+        # error only: less than the lab loop's own change when dt halves
+        spec = ModelSpec("rabi", detector=DetectorParams(),
+                         drive=DriveParams(omega_r=0.1, detuning=0.2))
+        _, rhos = dmref.evolve_master_detector(spec, 30.0, 0.01, record_every=10)
+        lab = lab_frame_master(spec, 30.0, 0.01, 10)
+        lab_half = lab_frame_master(spec, 30.0, 0.005, 20)
+        assert np.max(np.abs(rhos - lab)) < np.max(np.abs(lab_half - lab))
+
+
+def dense_band_populations(res, tau_m, t_max, dt):
+    """The band density matrix as it was integrated before the arrowhead
+    form: dense h @ r - r @ h in four-stage RK4, rho_ee after every step."""
+    dim = res.n_modes + 1
+    g = res.mode_couplings()
+    h = np.zeros((dim, dim), complex)
+    h[np.arange(1, dim), np.arange(1, dim)] = -res.mode_detunings()
+    h[0, 1:] = g
+    h[1:, 0] = g
+    damp = np.zeros((dim, dim))
+    damp[0, 1:] = damp[1:, 0] = 1.0 / tau_m
+
+    def rhs(t, r):
+        return -1j * (h @ r - r @ h) - damp * r
+
+    rho = np.zeros((dim, dim), complex)
+    rho[0, 0] = 1.0
+    pops = [1.0]
+    for i in range(int(round(t_max / dt))):
+        rho = rk4_step(rhs, i * dt, rho, dt)
+        pops.append(rho[0, 0].real)
+    return np.array(pops)
+
+
+class TestArrowheadBand:
+    @pytest.mark.parametrize("slope", [0.0, 2.0])
+    def test_matches_dense_commutator(self, slope):
+        res = ReservoirSpec(n_modes=1001, half_width=0.5, g0=0.001262,
+                            slope=slope).with_modes(201)
+        times, pops = dmref.evolve_measured_decay_dm(res, 5.0, t_max=2.0, dt=0.05,
+                                                     record_every=1)
+        assert len(pops) == 41
+        assert np.max(np.abs(pops - dense_band_populations(res, 5.0, 2.0, 0.05))) <= 1e-10
+
+    def test_generator_is_the_dense_commutator(self):
+        rng = np.random.default_rng(3)
+        n = 7
+        d = np.concatenate([[0.0], rng.normal(size=n - 1)])
+        g = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+        damp = rng.random((n, n))
+        h = np.diag(d).astype(complex)
+        h[0, 1:] = g
+        h[1:, 0] = g.conj()
+        r = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        out = np.empty_like(r)
+        dmref._arrowhead_generator(d, g, damp)(r, out)
+        np.testing.assert_allclose(out, -1j * (h @ r - r @ h) - damp * r, atol=1e-13)
 
 
 class TestDensityMatrixChecks:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from zenosim import oracles
+from zenosim import oracles, preset
 from zenosim.models import DriveParams, ReservoirSpec
 
 # reservoir with the golden-rule rate pinned exactly to 0.01
@@ -297,6 +297,75 @@ class TestLaplaceResidual:
         z = -0.003 + 0.001j
         assert oracles.laplace_rate_equation_residual(z, res_a, 5.0, epsrel=1e-7) == \
             oracles.laplace_rate_equation_residual(z, res_b, 5.0, epsrel=1e-7)
+
+
+def nested_quad_residual(z, res, tau_m, epsrel=1e-9):
+    """The residual as it was computed before the closed-form inner integral:
+    nested adaptive quadrature, real and imaginary parts apart, and the
+    kernel pole that crosses the band for Re z < 0 added as a residue."""
+    inv_tau = 1.0 / tau_m
+    half = res.half_width
+    rho_g2 = res.density_of_states * res.g0 ** 2
+    a_over = res.slope / res.half_width
+
+    def cquad(f, points=None):
+        kw = dict(epsabs=1e-14, epsrel=epsrel, limit=400, full_output=1)
+        if points is not None:
+            kw["points"] = sorted({float(p) for p in points if -half < p < half}) or None
+        re = integrate.quad(lambda x: f(x).real, -half, half, **kw)[0]
+        im = integrate.quad(lambda x: f(x).imag, -half, half, **kw)[0]
+        return re + 1j * im
+
+    def G(x):
+        return rho_g2 * (1.0 + a_over * x) ** 2
+
+    def bracket(x, xp):
+        return 1.0 / (z + 1j * x + inv_tau) + 1.0 / (z - 1j * xp + inv_tau)
+
+    term1 = cquad(lambda x: G(x) * bracket(x, x))
+    feature = abs(z.real)
+
+    def inner(x):
+        def f(xp):
+            b = bracket(x, xp)
+            return G(xp) / (z + 1j * (x - xp)) * b * b
+        pts = [x - 5 * feature, x, x + 5 * feature] if feature else [x]
+        val = cquad(f, points=pts)
+        if z.real < 0.0:
+            xp_star = x - 1j * z
+            b = bracket(x, xp_star)
+            val = val + 2.0 * np.pi * G(xp_star) * b * b
+        return val
+
+    return z + term1 - cquad(lambda x: G(x) * inner(x))
+
+
+class TestClosedFormResidual:
+    """The closed-form inner integral against the nested quadrature it replaced."""
+
+    @pytest.mark.parametrize("name", ["fig10", "fig12"])
+    @pytest.mark.parametrize("z", [0.003 + 0.001j, -0.003 + 0.001j,
+                                   -0.006 - 0.0015j, -0.004 + 0.002j])
+    def test_matches_nested_quadrature(self, name, z):
+        res = preset(name).model.reservoir
+        assert abs(oracles.laplace_rate_equation_residual(z, res, 5.0)
+                   - nested_quad_residual(z, res, 5.0)) <= 1e-12
+
+    @pytest.mark.parametrize("name,rate", [("fig10", 0.0076065089563016886),
+                                           ("fig12", 0.012152453115701354)])
+    def test_recorded_roots(self, name, rate):
+        res = preset(name).model.reservoir
+        assert oracles.laplace_decay_rate(res, 5.0) == pytest.approx(rate, rel=1e-8)
+
+    @pytest.mark.parametrize("x,gap,tol", [(2.5, 0.261, 5e-4), (10.0, 0.023, 5e-4),
+                                           (25.0, 0.0010, 5e-5)])
+    def test_series_converges_to_the_pole(self, x, gap, tol):
+        # |series - pole| / series at half_width * tau_m = x
+        res = preset("fig12").model.reservoir
+        tau = x / res.half_width
+        series = oracles.anti_zeno_rate(res, tau).rate
+        pole = oracles.laplace_decay_rate(res, tau)
+        assert abs(series - pole) / series == pytest.approx(gap, abs=tol)
 
 
 class TestRatePredictions:
