@@ -10,7 +10,6 @@ the decay, and with a sufficiently sloped band coupling it accelerates it.
 
 __version__ = "0.1.0"
 
-from .statevec import BasisLabel, StateVector, ZeroNorm, norm_squared, normalize, subspace_probability
 from .models import (
     DetectorMeasurementModel,
     DetectorParams,
@@ -19,7 +18,6 @@ from .models import (
     MeasuredDecayModel,
     RabiMeasuredModel,
     ReservoirSpec,
-    initial_state,
 )
 from .engine import (
     JumpEvent,
@@ -27,9 +25,7 @@ from .engine import (
     ProbabilityOverflow,
     RngStream,
     TrajectoryRecord,
-    collapse,
-    deterministic_step,
-    jump_probability,
+    ZeroNorm,
     run_trajectory,
 )
 from .ensemble import (
@@ -54,14 +50,11 @@ from .config import (
 from . import acceptance, dmref, oracles, output
 
 __all__ = [
-    "BasisLabel", "StateVector", "ZeroNorm", "norm_squared", "normalize",
-    "subspace_probability",
     "DetectorParams", "DriveParams", "ReservoirSpec", "ModelSpec",
     "DetectorMeasurementModel", "RabiMeasuredModel", "FreeDecayModel",
-    "MeasuredDecayModel", "initial_state", "build_model",
+    "MeasuredDecayModel", "build_model",
     "RngStream", "JumpEvent", "TrajectoryRecord", "ProbabilityOverflow",
-    "JumpProbabilityWarning", "jump_probability", "deterministic_step",
-    "collapse", "run_trajectory",
+    "JumpProbabilityWarning", "ZeroNorm", "run_trajectory",
     "EnsembleStatistics", "FitResult", "NonPositiveValues", "run_ensemble",
     "fit_exponential_rate", "default_fit_window", "block_rate_estimate",
     "RunConfig", "ConfigError", "DEFAULT_MASTER_SEED", "preset",

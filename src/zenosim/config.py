@@ -81,7 +81,6 @@ class RunConfig:
     master_seed: int = DEFAULT_MASTER_SEED
     integrator: str = "euler"
     observables: Optional[tuple[str, ...]] = None
-    output_path: Optional[str] = None
     decimation: Optional[int] = None
     initial_amplitudes: Optional[np.ndarray] = None
 
@@ -171,7 +170,7 @@ def preset_names() -> tuple[str, ...]:
 
 _RUN_KEYS = {
     "model", "dt", "t_max", "n_trajectories", "master_seed", "integrator",
-    "observables", "output_path", "decimation",
+    "observables", "decimation",
 }
 _DETECTOR_KEYS = {"gamma", "lambda", "omega_d", "coupling_target"}
 _DRIVE_KEYS = {"omega_r", "detuning"}
@@ -263,7 +262,6 @@ def load_config_file(path: str) -> RunConfig:
             master_seed=run.getint("master_seed", DEFAULT_MASTER_SEED),
             integrator=run.get("integrator", "euler").strip(),
             observables=observables,
-            output_path=run.get("output_path", None),
             decimation=run.getint("decimation", None) if "decimation" in run else None,
         )
     except (ValueError, ConfigError) as exc:
@@ -283,6 +281,8 @@ def describe(config: RunConfig) -> dict:
         "observables": list(config.observables) if config.observables else None,
         "decimation": config.decimation,
     }
+    if spec.variant == "detector":
+        out["omega_a"] = spec.omega_a
     if spec.detector is not None:
         out["detector"] = {
             "gamma": spec.detector.gamma,

@@ -41,10 +41,20 @@ import warnings
 from dataclasses import dataclass, field
 import numpy as np
 
-from .statevec import ZERO_NORM_THRESHOLD, StateVector, ZeroNorm, norm_squared
+from .models import _weight
 
 JUMP_PROBABILITY_WARN = 0.1
 UNIFORM_BLOCK = 1024   # steps of uniforms drawn per trajectory at a time
+ZERO_NORM_THRESHOLD = 1e-300
+
+
+class ZeroNorm(ValueError):
+    """Raised when a state's squared norm is too small to renormalize (at or
+    below ZERO_NORM_THRESHOLD).
+
+    Signals a numerically dead trajectory, e.g. a collapse applied to a state
+    with no weight in the collapsed subspace.
+    """
 
 
 class ProbabilityOverflow(RuntimeError):
@@ -140,13 +150,9 @@ def _stepper(model, integrator: str):
     return _STEPPERS[integrator]
 
 
-def _norm_squared(c: np.ndarray) -> np.ndarray:
-    """Squared norm of every row, each reduced on its own."""
-    return np.vecdot(c, c).real
-
-
 def _renormalize(c: np.ndarray) -> np.ndarray:
-    n2 = np.real(np.vdot(c, c))
+    """``c`` scaled to unit norm by a positive real, so its phase is kept."""
+    n2 = _weight(c)
     if n2 <= ZERO_NORM_THRESHOLD:
         raise ZeroNorm(f"state norm underflowed ({n2})")
     return c / np.sqrt(n2)
@@ -154,46 +160,6 @@ def _renormalize(c: np.ndarray) -> np.ndarray:
 
 def _trajectory(stream: RngStream) -> str:
     return f"(master_seed={stream.master_seed}, trajectory={stream.stream_id})"
-
-
-def jump_probability(state: StateVector, model, dt: float) -> float:
-    """First-order collapse probability over one step from ``state``.
-
-    Gamma * dt * (detector-excited probability) / norm^2.  The engine uses it
-    as its step-size guard; the jump probability it draws against is the
-    norm lost by the no-jump step.  Warns above 0.1 and raises
-    ProbabilityOverflow above 1.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    n2 = norm_squared(state)
-    p = model.gamma * dt * model.excited_weight(state.amplitudes) / n2
-    if p > 1.0:
-        raise ProbabilityOverflow(f"jump probability {p} > 1 at t={state.time}")
-    if p > JUMP_PROBABILITY_WARN:
-        warnings.warn(
-            f"jump probability {p:.3g} > {JUMP_PROBABILITY_WARN}; "
-            "at most one jump per step becomes a coarse approximation",
-            JumpProbabilityWarning,
-            stacklevel=2,
-        )
-    return p
-
-
-def deterministic_step(state: StateVector, model, t: float, dt: float,
-                       integrator: str = "euler") -> StateVector:
-    """Advance one no-jump step under the effective Hamiltonian, renormalized."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    c = state.amplitudes.copy()
-    c = _renormalize(_stepper(model, integrator)(model, t, dt, c, np.empty_like(c)))
-    return StateVector(c, state.basis, time=t + dt)
-
-
-def collapse(state: StateVector, model) -> StateVector:
-    """Apply the jump operator (detector a -> b transfer) and renormalize."""
-    c = _renormalize(model.collapse_amplitudes(state.amplitudes))
-    return StateVector(c, state.basis, time=state.time)
 
 
 @dataclass
@@ -312,7 +278,7 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
         if evolved is work:
             work = c
         c = evolved
-        n2 = _norm_squared(c)
+        n2 = _weight(c)
         if n2.min() <= ZERO_NORM_THRESHOLD:
             # (a collapse of such a row could only leave a smaller norm)
             k = int(np.argmin(n2))
@@ -328,7 +294,7 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
             pre = c[jumped]
             weights = model.excited_weight(pre) / n2[jumped]
             post = model.collapse_amplitudes(pre)
-            m2 = _norm_squared(post)
+            m2 = _weight(post)
             if m2.min() <= ZERO_NORM_THRESHOLD:
                 k = jumped[np.argmin(m2)]
                 raise ZeroNorm(f"collapsed state norm underflowed at t={t} "

@@ -1,7 +1,9 @@
 """The four physical models driving the jump engine.
 
-Each model supplies, over a fixed labeled basis:
+A state is an array ``c`` of complex amplitudes over the model's basis
+(ordered as below).  Each model supplies:
 
+* ``initial_amplitudes()`` -- the default initial state,
 * ``derivative(t, c)``     -- action of the non-Hermitian effective
   Hamiltonian, as the time derivative of the amplitude array,
 * ``propagate(c, dt)`` and ``coupling_derivative(t, c)`` -- the same
@@ -16,9 +18,9 @@ Each model supplies, over a fixed labeled basis:
 * ``collapse_amplitudes(c)`` -- the unnormalized post-jump amplitudes,
 * named observables used for recording.
 
-All of them act on the last axis: ``c`` is one state of shape (dim,) or a
-batch of shape (n, dim), one trajectory per row, and each row's result is
-computed on its own, with a rounding that does not depend on n.
+All that take ``c`` act on its last axis: ``c`` is one state of shape
+(dim,) or a batch of shape (n, dim), one trajectory per row, and each row's
+result is computed on its own, with a rounding that does not depend on n.
 ``propagate`` and ``coupling_derivative`` write into a preallocated ``out``
 array when given one (it must not overlap ``c``).
 
@@ -58,8 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from scipy.linalg import block_diag, expm
-
-from .statevec import BasisLabel, StateVector
 
 
 @dataclass(frozen=True)
@@ -243,11 +243,6 @@ class _FourLevelModel(_MonitoredModel):
     def _act(op_t, c, out=None):
         return np.matmul(c, op_t, out=out)
 
-    def basis_labels(self) -> tuple[BasisLabel, ...]:
-        return tuple(
-            BasisLabel(s, None, d) for s in ("e", "g") for d in ("a", "b")
-        )
-
     def excited_weight(self, c: np.ndarray) -> np.ndarray:
         return _weight(c[..., 0::2])
 
@@ -415,11 +410,6 @@ class FreeDecayModel:
         self.gamma = 0.0
         self._band = _BandCoupling(reservoir)
 
-    def basis_labels(self) -> tuple[BasisLabel, ...]:
-        labels = [BasisLabel("e", 0, None)]
-        labels += [BasisLabel("g", k, None) for k in range(self.reservoir.n_modes)]
-        return tuple(labels)
-
     def initial_amplitudes(self) -> np.ndarray:
         c = np.zeros(self.dim, dtype=complex)
         c[0] = 1.0
@@ -474,13 +464,6 @@ class MeasuredDecayModel(_MonitoredModel):
         self._band = _BandCoupling(reservoir)
         super().__init__(detector)
 
-    def basis_labels(self) -> tuple[BasisLabel, ...]:
-        labels = [BasisLabel("e", 0, "a"), BasisLabel("e", 0, "b")]
-        for k in range(self.reservoir.n_modes):
-            labels.append(BasisLabel("g", k, "a"))
-            labels.append(BasisLabel("g", k, "b"))
-        return tuple(labels)
-
     def initial_amplitudes(self) -> np.ndarray:
         c = np.zeros(self.dim, dtype=complex)
         c[1] = 1.0  # |e,0,b>
@@ -533,8 +516,3 @@ class MeasuredDecayModel(_MonitoredModel):
         return {"rho_ee": rho_ee, "rho_gg": rho_gg, "rho_aa": rho_aa}
 
     default_observables = ("rho_ee",)
-
-
-def initial_state(model) -> StateVector:
-    """The model's default initial state as a labeled StateVector."""
-    return StateVector(model.initial_amplitudes(), model.basis_labels(), time=0.0)

@@ -102,11 +102,12 @@ detuning = 0.1
 
     def test_unknown_key_rejected_with_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("[run]\nmodel = detector\nwibble = 3\n\n[detector]\ngamma = 10\n")
-        with pytest.raises(ConfigError) as err:
-            load_config_file(str(path))
-        assert "wibble" in str(err.value)
-        assert ":3" in str(err.value)
+        for key in ("wibble = 3", "output_path = elsewhere"):
+            path.write_text(f"[run]\nmodel = detector\n{key}\n\n[detector]\ngamma = 10\n")
+            with pytest.raises(ConfigError) as err:
+                load_config_file(str(path))
+            assert key.split()[0] in str(err.value)
+            assert ":3" in str(err.value)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -190,6 +191,7 @@ class TestCli:
         assert manifest["config"]["model"] == "detector"
         assert manifest["config"]["t_max"] == 10
         assert manifest["config"]["detector"]["gamma"] == 10.0
+        assert manifest["config"]["omega_a"] == 1.0
         header = (out / "trajectory_0000.csv").read_text().splitlines()[0]
         assert header.startswith("t,") and header.endswith(",jump")
 

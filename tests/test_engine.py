@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -8,54 +10,77 @@ from zenosim.engine import (
     JumpProbabilityWarning,
     ProbabilityOverflow,
     RngStream,
-    collapse,
-    deterministic_step,
-    jump_probability,
+    ZeroNorm,
+    _renormalize,
     run_batch,
     run_trajectory,
 )
-from zenosim.models import DetectorMeasurementModel, DetectorParams, DriveParams, RabiMeasuredModel
-from zenosim.statevec import StateVector, ZeroNorm, norm_squared
+from zenosim.models import (
+    DetectorMeasurementModel,
+    DetectorParams,
+    DriveParams,
+    RabiMeasuredModel,
+    _weight,
+)
 
 
 def detector_model(**kw):
     return DetectorMeasurementModel(DetectorParams(**kw))
 
 
-def state4(amps, model):
-    return StateVector(np.asarray(amps, complex), model.basis_labels())
+def no_jump_step(model, c, t, dt, integrator="euler"):
+    """One renormalized no-jump step of the engine's stepper on a (1, dim) row."""
+    row = np.array(c, dtype=complex).reshape(1, -1)
+    step = engine._stepper(model, integrator)
+    return _renormalize(step(model, t, dt, row, np.empty_like(row))[0])
+
+
+def run_detector(amps, dt, t_max=None, n=1, **kw):
+    """A detector-model batch of ``n`` streams from ``amps`` (gamma = 10)."""
+    spec = ModelSpec("detector", detector=DetectorParams(gamma=10.0, **kw))
+    cfg = RunConfig(spec, dt=dt, t_max=t_max or dt, n_trajectories=n,
+                    initial_amplitudes=np.asarray(amps, complex))
+    streams = [RngStream(DEFAULT_MASTER_SEED, k) for k in range(n)]
+    return run_batch(build_model(spec), cfg, streams)
+
+
+def guard_warnings(*args, **kw):
+    """The JumpProbabilityWarning messages of one ``run_detector`` batch."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_detector(*args, **kw)
+    return [str(w.message) for w in caught if w.category is JumpProbabilityWarning]
 
 
 class TestJumpProbability:
+    """The step-size guard Gamma*dt*w/|c|^2, on the state at the start of a step."""
+
     def test_no_detector_excitation(self):
-        m = detector_model(gamma=10.0)
-        s = state4([0, 0, 0, 1], m)
-        assert jump_probability(s, m, 0.1) == 0.0
+        # gamma*dt = 10: any excited weight above 0.01 would warn
+        assert guard_warnings([0, 0, 0, 1], dt=1.0) == []
 
     def test_full_excitation_warns(self):
-        m = detector_model(gamma=10.0)
-        s = state4([0, 0, 1, 0], m)
-        with pytest.warns(JumpProbabilityWarning):
-            p = jump_probability(s, m, 0.1)
-        assert p == pytest.approx(1.0)
+        # guard exactly 1.0: warns once per batch, does not raise
+        messages = guard_warnings([0, 0, 1, 0], dt=0.1, t_max=2.0, n=3)
+        assert len(messages) == 1
+        assert messages[0].startswith("jump probability reached 1 at t=0.0 ")
+        assert f"(master_seed={DEFAULT_MASTER_SEED}, trajectory=0)" in messages[0]
 
     def test_partial_weight(self):
-        m = detector_model(gamma=10.0)
         amps = np.sqrt([0.03, 0.5, 0.01, 0.46])
-        s = state4(amps, m)
-        assert jump_probability(s, m, 0.1) == pytest.approx(0.04, abs=1e-12)
+        assert detector_model().excited_weight(amps) == pytest.approx(0.04, abs=1e-12)
+        assert guard_warnings(amps, dt=0.1) == []
+        [message] = guard_warnings(amps, dt=0.5)
+        assert message.startswith("jump probability reached 0.2 at t=0.0 ")
 
     def test_overflow(self):
-        m = detector_model(gamma=10.0)
-        s = state4([0, 0, 1, 0], m)
-        with pytest.raises(ProbabilityOverflow):
-            jump_probability(s, m, 0.2)
+        with pytest.raises(ProbabilityOverflow, match=r"trajectory=0\)"):
+            run_detector([0, 0, 1, 0], dt=0.2)
 
     def test_unnormalized_ratio_form(self):
-        m = detector_model(gamma=10.0)
-        s = state4([0, 0, 2.0, 2.0], m)  # half the weight excited
-        with pytest.warns(JumpProbabilityWarning):
-            assert jump_probability(s, m, 0.1) == pytest.approx(0.5)
+        # half the weight excited
+        [message] = guard_warnings([0, 0, 2.0, 2.0], dt=0.1)
+        assert message.startswith("jump probability reached 0.5 at t=0.0 ")
 
 
 class TestCollapse:
@@ -63,46 +88,45 @@ class TestCollapse:
         m = detector_model()
         rng = np.random.default_rng(0)
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        s = state4(amps / np.linalg.norm(amps), m)
-        out = collapse(s, m)
+        c = amps / np.linalg.norm(amps)
+        out = _renormalize(m.collapse_amplitudes(c))
         # a amplitudes moved to b slots, previous b content gone
         norm = np.sqrt(abs(amps[0]) ** 2 + abs(amps[2]) ** 2) / np.linalg.norm(amps)
-        assert out.amplitudes[0] == 0 and out.amplitudes[2] == 0
-        assert out.amplitudes[1] == pytest.approx(s.amplitudes[0] / norm)
-        assert out.amplitudes[3] == pytest.approx(s.amplitudes[2] / norm)
-        assert norm_squared(out) == pytest.approx(1.0, abs=1e-12)
+        assert out[0] == 0 and out[2] == 0
+        assert out[1] == pytest.approx(c[0] / norm)
+        assert out[3] == pytest.approx(c[2] / norm)
+        assert _weight(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_ground_excited_detector(self):
         m = detector_model()
-        out = collapse(state4([0, 0, 1, 0], m), m)
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
+        out = _renormalize(m.collapse_amplitudes(np.array([0, 0, 1, 0], complex)))
+        np.testing.assert_allclose(out, [0, 0, 0, 1], atol=1e-15)
 
     def test_zero_weight_raises(self):
         m = detector_model()
         with pytest.raises(ZeroNorm):
-            collapse(state4([0, 1, 0, 0], m), m)
+            _renormalize(m.collapse_amplitudes(np.array([0, 1, 0, 0], complex)))
 
 
 class TestDeterministicStep:
     def test_invariant_excited_state(self):
         # |e,b> decouples: phase only, all probabilities unchanged
         m = detector_model(gamma=10.0, lam=1.0)
-        s = state4([0, 1, 0, 0], m)
+        c = np.array([0, 1, 0, 0], complex)
         for k in range(50):
-            s = deterministic_step(s, m, k * 0.1, 0.1)
-        assert abs(s.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
+            c = no_jump_step(m, c, k * 0.1, 0.1)
+        assert abs(c[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_uncoupled_ground_constant(self):
         m = detector_model(gamma=10.0, lam=0.0)
-        s = state4([0, 0, 0, 1], m)
+        c = np.array([0, 0, 0, 1], complex)
         for k in range(100):
-            s = deterministic_step(s, m, k * 0.1, 0.1)
-        assert abs(s.amplitudes[3]) ** 2 == pytest.approx(1.0, abs=1e-12)
+            c = no_jump_step(m, c, k * 0.1, 0.1)
+        assert abs(c[3]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_updates_time(self):
-        m = detector_model()
-        s = deterministic_step(state4([0, 1, 0, 1], m), m, 1.0, 0.5)
-        assert s.time == 1.5
+        batch = run_detector([0, 1, 0, 1], dt=0.5, t_max=1.5)
+        np.testing.assert_array_equal(batch.times, [0.0, 0.5, 1.0, 1.5])
 
 
 def generator_matrix(model, t=0.0):
@@ -116,9 +140,8 @@ class TestExactDetectorFactor:
         c = np.array([0.3 + 0.1j, 0.5, -0.2j, 0.6 + 0.4j])
         c /= np.linalg.norm(c)
         exact = expm(generator_matrix(m) * 0.1) @ c
-        out = deterministic_step(state4(c, m), m, 0.0, 0.1)
-        np.testing.assert_allclose(out.amplitudes, exact / np.linalg.norm(exact),
-                                   rtol=0, atol=1e-14)
+        out = no_jump_step(m, c, 0.0, 0.1)
+        np.testing.assert_allclose(out, exact / np.linalg.norm(exact), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("integrator,order", [("euler", 1), ("rk4", 4)])
     def test_drive_convergence_order(self, integrator, order):
@@ -130,10 +153,10 @@ class TestExactDetectorFactor:
         exact /= np.linalg.norm(exact)
         errors = []
         for dt in (0.1, 0.05):
-            s = state4(c, m)
+            s = c
             for k in range(int(round(2.0 / dt))):
-                s = deterministic_step(s, m, k * dt, dt, integrator=integrator)
-            errors.append(np.max(np.abs(s.amplitudes - exact)))
+                s = no_jump_step(m, s, k * dt, dt, integrator=integrator)
+            errors.append(np.max(np.abs(s - exact)))
         assert errors[0] / errors[1] == pytest.approx(2.0 ** order, rel=0.1)
 
     def test_records_do_not_depend_on_omega_a(self):

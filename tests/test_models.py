@@ -10,7 +10,6 @@ from zenosim.models import (
     MeasuredDecayModel,
     RabiMeasuredModel,
     ReservoirSpec,
-    initial_state,
 )
 
 RNG = np.random.default_rng(42)
@@ -235,21 +234,22 @@ class TestReservoirSpec:
 
 class TestInitialStates:
     def test_detector_default(self):
-        s = initial_state(DetectorMeasurementModel(DetectorParams()))
-        np.testing.assert_allclose(s.amplitudes,
-                                   np.array([0, 1, 0, 1]) / np.sqrt(2), atol=1e-15)
+        c = DetectorMeasurementModel(DetectorParams()).initial_amplitudes()
+        np.testing.assert_allclose(c, np.array([0, 1, 0, 1]) / np.sqrt(2), atol=1e-15)
 
     def test_rabi_default(self):
-        s = initial_state(RabiMeasuredModel(DetectorParams(), DriveParams(omega_r=0.1)))
-        np.testing.assert_array_equal(s.amplitudes, [0, 0, 0, 1])
+        c = RabiMeasuredModel(DetectorParams(), DriveParams(omega_r=0.1)).initial_amplitudes()
+        np.testing.assert_array_equal(c, [0, 0, 0, 1])
 
     def test_measured_decay_default(self):
         model = MeasuredDecayModel(ReservoirSpec(n_modes=5, g0=0.01), DetectorParams())
-        s = initial_state(model)
-        assert s.amplitudes[1] == 1.0
-        assert np.sum(np.abs(s.amplitudes)) == 1.0
-        assert s.basis[1].system_level == "e"
-        assert s.basis[1].detector_level == "b"
+        c = model.initial_amplitudes()
+        assert c[1] == 1.0
+        assert np.sum(np.abs(c)) == 1.0
+        # slot 1 is |e,0,b>: system excited, detector in its ground level
+        obs = model.observables()
+        assert obs["rho_ee"](c) == 1.0
+        assert obs["rho_aa"](c) == 0.0
 
 
 class TestFrequencyShiftInvariance:

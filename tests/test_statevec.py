@@ -1,117 +1,115 @@
+"""The state is a plain amplitude array: its squared norm (``models._weight``),
+the engine's renormalization, and subspace weights read through the models'
+observables."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenosim.statevec import (
-    BasisLabel,
-    StateVector,
-    ZeroNorm,
-    basis_mask,
-    norm_squared,
-    normalize,
-    subspace_probability,
+from zenosim.config import ModelSpec, RunConfig, build_model
+from zenosim.engine import RngStream, ZeroNorm, _renormalize, run_batch
+from zenosim.models import (
+    DetectorMeasurementModel,
+    DetectorParams,
+    FreeDecayModel,
+    ReservoirSpec,
+    _weight,
 )
 
+# basis |e,a>, |e,b>, |g,a>, |g,b>
+FOUR_LEVEL = DetectorMeasurementModel(DetectorParams())
+OBS = FOUR_LEVEL.observables()
 
-def four_level_basis():
-    return tuple(BasisLabel(s, None, d) for s in ("e", "g") for d in ("a", "b"))
+
+def amplitudes(parts):
+    return np.array([re + 1j * im for re, im in parts])
 
 
-def make(amps):
-    basis = tuple(BasisLabel("g", k) for k in range(len(amps)))
-    return StateVector(np.asarray(amps, dtype=complex), basis)
+def run_detector(initial_amplitudes):
+    spec = ModelSpec("detector", detector=DetectorParams())
+    cfg = RunConfig(spec, dt=0.1, t_max=0.1, n_trajectories=1,
+                    initial_amplitudes=np.asarray(initial_amplitudes, dtype=complex))
+    return run_batch(build_model(spec), cfg, [RngStream(1, 0)])
 
 
 class TestNormSquared:
     def test_unit_basis_vector(self):
-        assert norm_squared(make([1, 0, 0, 0])) == pytest.approx(1.0, abs=1e-15)
+        assert _weight(np.array([1, 0, 0, 0], complex)) == pytest.approx(1.0, abs=1e-15)
 
     def test_normalized_superposition(self):
-        s = make([1 / np.sqrt(2), 1 / np.sqrt(2)])
-        assert norm_squared(s) == pytest.approx(1.0, abs=1e-15)
+        c = np.array([1, 1], complex) / np.sqrt(2)
+        assert _weight(c) == pytest.approx(1.0, abs=1e-15)
 
     def test_three_four_five(self):
-        assert norm_squared(make([0.6, 0.8j])) == pytest.approx(1.0, abs=1e-15)
+        assert _weight(np.array([0.6, 0.8j])) == pytest.approx(1.0, abs=1e-15)
 
     def test_unnormalized(self):
-        assert norm_squared(make([2.0, 0.0])) == pytest.approx(4.0, abs=1e-15)
+        assert _weight(np.array([2.0, 0.0], complex)) == pytest.approx(4.0, abs=1e-15)
 
 
 class TestNormalize:
     def test_real_scaling(self):
-        out = normalize(make([2, 0]))
-        np.testing.assert_allclose(out.amplitudes, [1, 0], atol=1e-15)
+        out = _renormalize(np.array([2, 0], complex))
+        np.testing.assert_allclose(out, [1, 0], atol=1e-15)
 
     def test_phase_untouched(self):
-        out = normalize(make([1, 1j]))
-        np.testing.assert_allclose(out.amplitudes, [1 / np.sqrt(2), 1j / np.sqrt(2)],
-                                   atol=1e-15)
+        out = _renormalize(np.array([1, 1j]))
+        np.testing.assert_allclose(out, [1 / np.sqrt(2), 1j / np.sqrt(2)], atol=1e-15)
 
     def test_zero_state_raises(self):
         with pytest.raises(ZeroNorm):
-            normalize(make([0, 0]))
+            run_detector([0, 0, 0, 0])
 
     @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
                     min_size=1, max_size=12))
     @settings(max_examples=80, deadline=None)
     def test_idempotent(self, parts):
-        amps = np.array([re + 1j * im for re, im in parts])
+        amps = amplitudes(parts)
         if np.sqrt(np.sum(np.abs(amps) ** 2)) < 1e-6:
             return
-        once = normalize(make(amps))
-        twice = normalize(once)
-        assert np.max(np.abs(once.amplitudes - twice.amplitudes)) <= 1e-12
-        assert abs(norm_squared(once) - 1.0) <= 1e-12
+        once = _renormalize(amps)
+        twice = _renormalize(once)
+        assert np.max(np.abs(once - twice)) <= 1e-12
+        assert abs(_weight(once) - 1.0) <= 1e-12
 
 
 class TestSubspaceProbability:
     def test_pure_ground(self):
-        s = StateVector([0, 0, 0, 1], four_level_basis())
-        assert subspace_probability(s, lambda b: b.system_level == "g") == pytest.approx(1.0)
+        assert OBS["rho_gg"](np.array([0, 0, 0, 1], complex)) == pytest.approx(1.0)
 
     def test_even_superposition(self):
-        s = StateVector(np.array([0, 1, 0, 1]) / np.sqrt(2), four_level_basis())
-        assert subspace_probability(s, lambda b: b.system_level == "g") == pytest.approx(0.5)
+        c = np.array([0, 1, 0, 1], complex) / np.sqrt(2)
+        assert OBS["rho_gg"](c) == pytest.approx(0.5)
 
     def test_additivity_over_labels(self):
-        amps = np.sqrt(np.array([0.1, 0.0, 0.2, 0.7]))
-        s = StateVector(amps, four_level_basis())
-        p = subspace_probability(s, lambda b: b.detector_level == "a")
-        assert p == pytest.approx(0.3, abs=1e-12)
+        c = np.sqrt(np.array([0.1, 0.0, 0.2, 0.7], complex))
+        assert OBS["rho_aa"](c) == pytest.approx(0.3, abs=1e-12)
+        assert FOUR_LEVEL.excited_weight(c) == pytest.approx(0.3, abs=1e-12)
 
     def test_always_true_equals_norm(self):
-        s = make([0.3, 0.4j, 1.2])
-        assert subspace_probability(s, lambda b: True) == pytest.approx(norm_squared(s))
+        c = np.array([0.3, 0.4j, 1.2, -0.5])
+        assert OBS["rho_ee"](c) + OBS["rho_gg"](c) == pytest.approx(_weight(c))
+        assert OBS["rho_aa"](c) + OBS["rho_bb"](c) == pytest.approx(_weight(c))
 
     @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-                    min_size=2, max_size=10))
+                    min_size=3, max_size=10))
     @settings(max_examples=60, deadline=None)
     def test_complementary_predicates(self, parts):
-        amps = np.array([re + 1j * im for re, im in parts])
+        amps = amplitudes(parts)
         if np.sqrt(np.sum(np.abs(amps) ** 2)) < 1e-6:
             return
-        s = normalize(make(amps))
-        cut = len(amps) // 2
-        p_low = subspace_probability(s, lambda b: b.reservoir_mode < cut)
-        p_high = subspace_probability(s, lambda b: b.reservoir_mode >= cut)
-        assert p_low + p_high == pytest.approx(1.0, abs=1e-12)
+        c = _renormalize(amps)
+        obs = FreeDecayModel(ReservoirSpec(n_modes=len(amps) - 1)).observables()
+        assert obs["rho_ee"](c) + obs["rho_gg"](c) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLabels:
-    def test_invalid_system_level(self):
-        with pytest.raises(ValueError):
-            BasisLabel("x")
-
-    def test_invalid_detector_level(self):
-        with pytest.raises(ValueError):
-            BasisLabel("g", detector_level="c")
-
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            StateVector([1, 0], (BasisLabel("g"),))
+        with pytest.raises(ValueError, match="shape"):
+            run_detector([1, 0])
 
     def test_basis_mask(self):
-        basis = four_level_basis()
-        mask = basis_mask(basis, lambda b: b.detector_level == "a")
-        assert mask.tolist() == [True, False, True, False]
+        # the detector-excited slots of the four-level basis
+        slots = [FOUR_LEVEL.excited_weight(e) > 0 for e in np.eye(4, dtype=complex)]
+        assert slots == [True, False, True, False]
