@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 simulation failure.  The ZENOSIM_WORKERS environment variable sets the
-default worker count; --workers caps it per invocation.
+default worker count; --workers overrides it per invocation.
 """
 
 from __future__ import annotations
@@ -18,15 +18,17 @@ from . import __version__, acceptance, oracles
 from .config import (
     ConfigError,
     DEFAULT_MASTER_SEED,
+    RUN_KEYS,
     RunConfig,
     load_config_file,
+    parse_names,
     preset,
     preset_names,
 )
-from .ensemble import run_ensemble
-# ``build_model`` and ``run_trajectory`` stay importable from this module:
-# benchmarks/tracing.py wraps them here by name.
-from .config import build_model  # noqa: F401
+from .ensemble import default_workers, run_ensemble
+# benchmarks/tracing.py wraps ``build_model`` and ``run_trajectory`` here by
+# name; ``run_trajectory`` stays importable from this module for it.
+from .config import build_model
 from .engine import run_trajectory  # noqa: F401
 from .models import DriveParams, ReservoirSpec
 from .output import write_ensemble_csv, write_manifest, write_trajectory_csv
@@ -46,7 +48,7 @@ def _add_simulate(sub):
     p.add_argument("--seed", type=int, dest="master_seed")
     p.add_argument("--integrator", choices=("euler", "rk4"))
     p.add_argument("--decimation", type=int)
-    p.add_argument("--observables", help="comma-separated observable names")
+    p.add_argument("--observables", type=parse_names, help="comma-separated observable names")
     p.add_argument("--output", default=None, help="output directory (default: out/<target>)")
     p.add_argument("--per-trajectory", action="store_true",
                    help="also write one CSV per trajectory")
@@ -65,12 +67,14 @@ def _add_oracle(sub):
     p.add_argument("--tau-m", type=float, help="measurement time")
     p.add_argument("--t", type=float, help="time argument")
     p.add_argument("--omega-r", type=float, help="drive strength")
-    p.add_argument("--detuning", type=float, default=0.0)
-    p.add_argument("--lambda-band", type=float, default=0.5, help="reservoir half width")
+    p.add_argument("--detuning", type=float, default=DriveParams.detuning)
+    p.add_argument("--lambda-band", type=float, default=ReservoirSpec.half_width,
+                   help="reservoir half width")
     p.add_argument("--gamma0", type=float, help="flat-band golden-rule rate")
     p.add_argument("--g0", type=float, help="base mode coupling")
-    p.add_argument("--n-modes", type=int, default=1001)
-    p.add_argument("--a", type=float, default=0.0, help="coupling slope across the band")
+    p.add_argument("--n-modes", type=int, default=ReservoirSpec.n_modes)
+    p.add_argument("--a", type=float, default=ReservoirSpec.slope,
+                   help="coupling slope across the band")
     return p
 
 
@@ -103,30 +107,26 @@ def _resolve_config(args) -> RunConfig:
         cfg = load_config_file(target)
     else:
         raise ConfigError(f"{target!r} is neither a preset nor an existing config file")
-    overrides = {}
-    for key in ("dt", "t_max", "n_trajectories", "master_seed", "integrator", "decimation"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    if args.observables:
-        overrides["observables"] = tuple(
-            s.strip() for s in args.observables.split(",") if s.strip())
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    overrides = {key: getattr(args, key) for key in RUN_KEYS if getattr(args, key) is not None}
+    if overrides:
+        cfg = cfg.with_overrides(**overrides)
+    known = build_model(cfg.model).observables()
+    unknown = [name for name in cfg.observables or () if name not in known]
+    if unknown:
+        raise ConfigError(f"model {cfg.model.variant!r} has no observable "
+                          f"{', '.join(unknown)}; it has {', '.join(known)}")
+    return cfg
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        cfg = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    cfg = _resolve_config(args)
+    workers = default_workers() if args.workers is None else args.workers
     outdir = Path(args.output) if args.output else Path("out") / str(args.target).replace("/", "_")
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     outputs = []
     try:
-        stats = run_ensemble(cfg, workers=args.workers, keep_curves=args.per_trajectory)
+        stats = run_ensemble(cfg, workers=workers, keep_curves=args.per_trajectory)
         ens_path = outdir / "ensemble.csv"
         write_ensemble_csv(ens_path, stats)
         outputs.append(str(ens_path))
@@ -255,11 +255,12 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "oracle":
-        return _cmd_oracle(args)
-    return _cmd_validate(args)
+    command = {"simulate": _cmd_simulate, "oracle": _cmd_oracle, "validate": _cmd_validate}
+    try:
+        return command[args.command](args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

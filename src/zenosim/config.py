@@ -10,7 +10,9 @@ chosen for reasonable runtimes and may be overridden.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+import re
+import typing
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -28,7 +30,29 @@ from .models import (
 DEFAULT_MASTER_SEED = 20260809
 MAX_OUTPUT_POINTS = 4000
 
-MODEL_VARIANTS = ("detector", "rabi", "freedecay", "measureddecay")
+# The one table of config-file sections, manifest ``config`` blocks and
+# ModelSpec fields.  Each parameter section names its class and maps its keys
+# onto the class's fields; the class supplies types and defaults.  [run]
+# holds ``model``, the RunConfig fields of RUN_KEYS and the ModelSpec scalars
+# the model takes.
+RUN_KEYS = ("dt", "t_max", "n_trajectories", "master_seed", "integrator", "observables",
+            "decimation")
+SECTIONS = {
+    "detector": (DetectorParams, {"gamma": "gamma", "lambda": "lam", "omega_d": "omega_d",
+                                  "coupling_target": "coupling_target"}),
+    "drive": (DriveParams, {"omega_r": "omega_r", "detuning": "detuning"}),
+    "reservoir": (ReservoirSpec, {"n_modes": "n_modes", "half_width": "half_width",
+                                  "g0": "g0", "a": "slope", "omega_a": "omega_a"}),
+}
+# model variant -> its class and the ModelSpec fields it takes, in the order
+# of the class's arguments: parameter sections, and the detector model's
+# frame frequency ``omega_a`` (a [run] key)
+VARIANTS = {
+    "detector": (DetectorMeasurementModel, ("detector", "omega_a")),
+    "rabi": (RabiMeasuredModel, ("detector", "drive")),
+    "freedecay": (FreeDecayModel, ("reservoir",)),
+    "measureddecay": (MeasuredDecayModel, ("reservoir", "detector")),
+}
 
 
 class ConfigError(ValueError):
@@ -37,7 +61,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which model to build, with its physical parameters."""
+    """Which model to build, with its physical parameters.
+
+    A variant takes exactly the fields VARIANTS lists for it; the others
+    keep their defaults, so ``describe`` records everything that builds the
+    model and nothing else.
+    """
 
     variant: str
     detector: Optional[DetectorParams] = None
@@ -46,28 +75,21 @@ class ModelSpec:
     omega_a: float = 1.0
 
     def __post_init__(self):
-        if self.variant not in MODEL_VARIANTS:
+        if self.variant not in VARIANTS:
             raise ConfigError(f"unknown model variant {self.variant!r}")
-        needs = {
-            "detector": ("detector",),
-            "rabi": ("detector", "drive"),
-            "freedecay": ("reservoir",),
-            "measureddecay": ("reservoir", "detector"),
-        }[self.variant]
-        for name in needs:
-            if getattr(self, name) is None:
-                raise ConfigError(f"model {self.variant!r} requires {name} parameters")
+        uses = VARIANTS[self.variant][1]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name in uses and value is None:
+                raise ConfigError(f"model {self.variant!r} requires {f.name} parameters")
+            if f.name not in uses and value != f.default:
+                raise ConfigError(f"model {self.variant!r} does not use {f.name} parameters")
 
 
 def build_model(spec: ModelSpec):
     """Instantiate the model object for a ModelSpec."""
-    if spec.variant == "detector":
-        return DetectorMeasurementModel(spec.detector, omega_a=spec.omega_a)
-    if spec.variant == "rabi":
-        return RabiMeasuredModel(spec.detector, spec.drive)
-    if spec.variant == "freedecay":
-        return FreeDecayModel(spec.reservoir)
-    return MeasuredDecayModel(spec.reservoir, spec.detector)
+    cls, uses = VARIANTS[spec.variant]
+    return cls(*(getattr(spec, name) for name in uses))
 
 
 @dataclass
@@ -105,26 +127,21 @@ class RunConfig:
         return replace(self, **kw)
 
 
-def _paper_reservoir(slope: float = 0.0) -> ReservoirSpec:
-    # 1001 modes give exactly the published spacing 0.001 across the
-    # half-width-0.5 band; the published mode count is self-consistent only
-    # to within one mode and the spacing is what fixes the decay rate.
-    return ReservoirSpec(n_modes=1001, half_width=0.5, g0=0.001262, slope=slope, omega_a=1.0)
-
-
-_DET = DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0)
-_DET_EXC = DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0, coupling_target="excited")
-
-
 def _presets() -> dict[str, RunConfig]:
-    detector_spec = ModelSpec("detector", detector=_DET)
-    rabi_res = ModelSpec("rabi", detector=_DET, drive=DriveParams(omega_r=0.1, detuning=0.0))
-    rabi_det = ModelSpec("rabi", detector=_DET, drive=DriveParams(omega_r=0.1, detuning=0.2))
-    free0 = ModelSpec("freedecay", reservoir=_paper_reservoir(0.0))
-    free2 = ModelSpec("freedecay", reservoir=_paper_reservoir(2.0))
-    meas0 = ModelSpec("measureddecay", reservoir=_paper_reservoir(0.0), detector=_DET)
-    meas0_exc = ModelSpec("measureddecay", reservoir=_paper_reservoir(0.0), detector=_DET_EXC)
-    meas2 = ModelSpec("measureddecay", reservoir=_paper_reservoir(2.0), detector=_DET)
+    # The parameter classes' defaults are the published values.  Their 1001
+    # modes give exactly the published spacing 0.001 across the half-width-0.5
+    # band; the published mode count is self-consistent only to within one
+    # mode and the spacing is what fixes the decay rate.
+    det, flat, sloped = DetectorParams(), ReservoirSpec(), ReservoirSpec(slope=2.0)
+    detector_spec = ModelSpec("detector", detector=det)
+    rabi_res = ModelSpec("rabi", detector=det, drive=DriveParams(omega_r=0.1))
+    rabi_det = ModelSpec("rabi", detector=det, drive=DriveParams(omega_r=0.1, detuning=0.2))
+    free0 = ModelSpec("freedecay", reservoir=flat)
+    free2 = ModelSpec("freedecay", reservoir=sloped)
+    meas0 = ModelSpec("measureddecay", reservoir=flat, detector=det)
+    meas0_exc = ModelSpec("measureddecay", reservoir=flat,
+                          detector=DetectorParams(coupling_target="excited"))
+    meas2 = ModelSpec("measureddecay", reservoir=sloped, detector=det)
 
     all4 = ("rho_aa", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im")
     return {
@@ -168,137 +185,91 @@ def preset_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # flat key-value config files (INI sections, one per parameter group)
 
-_RUN_KEYS = {
-    "model", "dt", "t_max", "n_trajectories", "master_seed", "integrator",
-    "observables", "decimation",
-}
-_DETECTOR_KEYS = {"gamma", "lambda", "omega_d", "coupling_target"}
-_DRIVE_KEYS = {"omega_r", "detuning"}
-_RESERVOIR_KEYS = {"n_modes", "half_width", "g0", "a", "omega_a"}
-_SECTION_KEYS = {
-    "run": _RUN_KEYS,
-    "detector": _DETECTOR_KEYS,
-    "drive": _DRIVE_KEYS,
-    "reservoir": _RESERVOIR_KEYS,
-}
+_PARSE = {int: int, float: float, str: str}
 
 
-def _find_key_line(path: str, key: str) -> Optional[int]:
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                stripped = line.strip()
-                if stripped.startswith(key) and (
-                    stripped[len(key):].lstrip().startswith(("=", ":")) or stripped == key
-                ):
-                    return lineno
-    except OSError:
-        pass
-    return None
+def parse_names(text: str) -> Optional[tuple[str, ...]]:
+    """A comma-separated list of names, as in ``observables = rho_ee, rho_gg``;
+    None (the model's defaults) when it is empty."""
+    return tuple(s.strip() for s in text.split(",") if s.strip()) or None
+
+
+def _read(section, cls, keys: dict) -> dict:
+    """``{field: value}`` for the ``{key: field}`` entries present in a config
+    section, each parsed as the type ``cls`` declares for its field."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for key, name in keys.items():
+        if key in section:
+            kinds = (hints[name], *typing.get_args(hints[name]))  # Optional[int] -> int
+            parse = next((_PARSE[k] for k in kinds if k in _PARSE), parse_names)
+            try:
+                out[name] = parse(section[key])
+            except ValueError as exc:
+                raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
+    return out
 
 
 def load_config_file(path: str) -> RunConfig:
     """Parse a sectioned key-value config file into a RunConfig.
 
-    Unknown sections or keys are rejected with the offending key and, when
+    The file holds [run] and the parameter sections its model uses, with
+    the keys of the table above; keys left out take the classes' defaults.
+    Other sections or keys are rejected with the offending key and, when
     possible, its line number.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
-                line = _find_key_line(path, key)
-                where = f"{path}:{line}" if line else path
-                raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
-
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        parser.read_string(text, source=path)
+    except (OSError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if "run" not in parser or "model" not in parser["run"]:
         raise ConfigError(f"{path}: missing [run] section with a 'model' key")
-    run = parser["run"]
-    variant = run.get("model").strip()
-    if variant not in MODEL_VARIANTS:
+    variant = parser["run"]["model"]
+    if variant not in VARIANTS:
         raise ConfigError(f"{path}: unknown model {variant!r}")
 
-    detector = drive = reservoir = None
-    if "detector" in parser:
-        d = parser["detector"]
-        detector = DetectorParams(
-            gamma=d.getfloat("gamma", 10.0),
-            lam=d.getfloat("lambda", 1.0),
-            omega_d=d.getfloat("omega_d", 1.0),
-            coupling_target=d.get("coupling_target", "ground").strip(),
-        )
-    if "drive" in parser:
-        d = parser["drive"]
-        drive = DriveParams(omega_r=d.getfloat("omega_r", 0.0),
-                            detuning=d.getfloat("detuning", 0.0))
-    if "reservoir" in parser:
-        r = parser["reservoir"]
-        reservoir = ReservoirSpec(
-            n_modes=r.getint("n_modes", 1001),
-            half_width=r.getfloat("half_width", 0.5),
-            g0=r.getfloat("g0", 0.001262),
-            slope=r.getfloat("a", 0.0),
-            omega_a=r.getfloat("omega_a", 1.0),
-        )
+    uses = VARIANTS[variant][1]
+    scalars = {name: name for name in uses if name not in SECTIONS}
+    allowed = {"run": {"model", *RUN_KEYS, *scalars}}
+    allowed.update((name, SECTIONS[name][1]) for name in uses if name in SECTIONS)
+    for section in parser.sections():
+        if section not in allowed:
+            what = f"model {variant!r} does not use" if section in SECTIONS else "unknown"
+            raise ConfigError(f"{path}: {what} section [{section}]")
+        for key in parser[section]:
+            if key not in allowed[section]:
+                line = next((n for n, entry in enumerate(text.splitlines(), 1)
+                             if re.match(rf"\s*{re.escape(key)}\s*[=:]", entry, re.I)), None)
+                where = f"{path}:{line}" if line else path
+                raise ConfigError(f"{where}: unknown key {key!r} in section [{section}] "
+                                  f"of model {variant!r}")
 
-    observables = None
-    if "observables" in run:
-        observables = tuple(s.strip() for s in run.get("observables").split(",") if s.strip())
-
+    run = parser["run"]
     try:
-        spec = ModelSpec(variant, detector=detector, drive=drive, reservoir=reservoir,
-                         omega_a=reservoir.omega_a if reservoir else 1.0)
-        return RunConfig(
-            model=spec,
-            dt=run.getfloat("dt", 0.1),
-            t_max=run.getfloat("t_max", 30.0),
-            n_trajectories=run.getint("n_trajectories", 1000),
-            master_seed=run.getint("master_seed", DEFAULT_MASTER_SEED),
-            integrator=run.get("integrator", "euler").strip(),
-            observables=observables,
-            decimation=run.getint("decimation", None) if "decimation" in run else None,
-        )
-    except (ValueError, ConfigError) as exc:
+        params = {name: cls(**_read(parser[name], cls, keys))
+                  for name, (cls, keys) in SECTIONS.items() if name in parser}
+        spec = ModelSpec(variant, **params, **_read(run, ModelSpec, scalars))
+        return RunConfig(spec, **_read(run, RunConfig, dict(zip(RUN_KEYS, RUN_KEYS))))
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def describe(config: RunConfig) -> dict:
-    """JSON-serializable view of a fully resolved RunConfig."""
+    """JSON-serializable view of a fully resolved RunConfig.
+
+    Top-level entries are the [run] keys and the other entries are the
+    model's parameter sections, so the view written as a config file loads
+    back to an equal RunConfig.
+    """
     spec = config.model
-    out = {
-        "model": spec.variant,
-        "dt": config.dt,
-        "t_max": config.t_max,
-        "n_trajectories": config.n_trajectories,
-        "master_seed": config.master_seed,
-        "integrator": config.integrator,
-        "observables": list(config.observables) if config.observables else None,
-        "decimation": config.decimation,
-    }
-    if spec.variant == "detector":
-        out["omega_a"] = spec.omega_a
-    if spec.detector is not None:
-        out["detector"] = {
-            "gamma": spec.detector.gamma,
-            "lambda": spec.detector.lam,
-            "omega_d": spec.detector.omega_d,
-            "coupling_target": spec.detector.coupling_target,
-        }
-    if spec.drive is not None:
-        out["drive"] = {"omega_r": spec.drive.omega_r, "detuning": spec.drive.detuning}
-    if spec.reservoir is not None:
-        r = spec.reservoir
-        out["reservoir"] = {
-            "n_modes": r.n_modes,
-            "half_width": r.half_width,
-            "g0": r.g0,
-            "a": r.slope,
-            "omega_a": r.omega_a,
-        }
+    out = {"model": spec.variant, **{key: getattr(config, key) for key in RUN_KEYS}}
+    out["observables"] = list(config.observables) if config.observables else None
+    for name in VARIANTS[spec.variant][1]:
+        value = getattr(spec, name)
+        if name in SECTIONS:
+            value = {key: getattr(value, f) for key, f in SECTIONS[name][1].items()}
+        out[name] = value
     return out

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RunConfig, build_model
+from .config import ConfigError, RunConfig, build_model
 from .engine import JumpEvent, RngStream, TrajectoryBatch, TrajectoryRecord, run_batch
 # ``run_trajectory`` stays importable from this module: benchmarks/tracing.py
 # wraps it here by name.
@@ -91,13 +91,17 @@ class EnsembleStatistics:
 
 
 def default_workers() -> int:
+    """The worker count ZENOSIM_WORKERS sets, else the number of CPUs."""
     env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+    return workers
 
 
 def _streams(config: RunConfig, lo: int, hi: int) -> list[RngStream]:

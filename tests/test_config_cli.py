@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from zenosim import cli
-from zenosim.config import ConfigError, build_model, load_config_file, preset
+from zenosim.config import (
+    ConfigError, ModelSpec, build_model, describe, load_config_file, preset, preset_names,
+)
 from zenosim.engine import RngStream, run_trajectory
 from zenosim.ensemble import run_ensemble
+from zenosim.models import DetectorParams, DriveParams, ReservoirSpec
 from zenosim.output import read_ensemble_csv, write_ensemble_csv, write_trajectory_csv
 
 
@@ -117,14 +120,63 @@ detuning = 0.1
 
     def test_missing_model_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("[run]\ndt = 0.1\n")
-        with pytest.raises(ConfigError):
-            load_config_file(str(path))
+        for text in ("[run]\ndt = 0.1\n", "dt = 0.1\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                load_config_file(str(path))
 
     def test_missing_params_for_variant(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[run]\nmodel = rabi\n\n[detector]\ngamma = 10\n")
         with pytest.raises(ConfigError):
+            load_config_file(str(path))
+
+    def test_manifest_config_loads_back(self, tmp_path):
+        # a manifest's ``config`` block, written out as a config file, gives
+        # back the run that wrote it
+        path = tmp_path / "run.cfg"
+        for name in preset_names():
+            cfg = preset(name)
+            block = json.loads(json.dumps(describe(cfg)))
+            lines = ["[run]"]
+            for key, value in block.items():
+                if isinstance(value, list):
+                    value = ", ".join(value)
+                if value is not None and not isinstance(value, dict):
+                    lines.append(f"{key} = {value}")
+            for section, values in block.items():
+                if isinstance(values, dict):
+                    lines += [f"[{section}]", *(f"{k} = {v}" for k, v in values.items())]
+            path.write_text("\n".join(lines) + "\n")
+            assert load_config_file(str(path)) == cfg, name
+
+    def test_sections_follow_the_model(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        for model, section, key in (("detector", "reservoir", "omega_a = 3.7"),
+                                    ("freedecay", "drive", "omega_r = 0.1")):
+            path.write_text(f"[run]\nmodel = {model}\n\n[{section}]\n{key}\n")
+            with pytest.raises(ConfigError, match=rf"'{model}'.*\[{section}\]"):
+                load_config_file(str(path))
+        path.write_text("[run]\nmodel = rabi\nomega_a = 3.7\n\n[detector]\n\n[drive]\n")
+        with pytest.raises(ConfigError, match=r":3: unknown key 'omega_a'"):
+            load_config_file(str(path))
+        with pytest.raises(ConfigError, match="does not use drive"):
+            ModelSpec("freedecay", reservoir=ReservoirSpec(), drive=DriveParams())
+        with pytest.raises(ConfigError, match="does not use omega_a"):
+            ModelSpec("rabi", detector=DetectorParams(), drive=DriveParams(), omega_a=3.7)
+
+    def test_detector_frame_frequency_in_run(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[run]\nmodel = detector\nomega_a = 3.7\n\n[detector]\n")
+        cfg = load_config_file(str(path))
+        assert build_model(cfg.model).omega_a == 3.7
+        assert describe(cfg)["omega_a"] == 3.7
+        assert "reservoir" not in describe(cfg)
+
+    def test_bad_value_names_its_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[run]\nmodel = freedecay\n\n[reservoir]\nn_modes = many\n")
+        with pytest.raises(ConfigError, match=r"\[reservoir\] n_modes"):
             load_config_file(str(path))
 
 
@@ -237,7 +289,19 @@ omega_d = 1
         assert "free-decay-flat" in out
         assert "PASS" in out
 
-    def test_unknown_observable_exit_3(self, tmp_path, capsys):
-        code = cli.main(["simulate", "fig1", "--output", str(tmp_path / "x"),
-                         "--observables", "bogus"])
-        assert code == 3
+    def test_unknown_observable_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("[run]\nmodel = detector\nobservables = rho_ee, rho_xx\n\n[detector]\n")
+        for argv in (["fig1", "--observables", "rho_xx"], [str(cfgfile)]):
+            out = tmp_path / "x"
+            assert cli.main(["simulate", *argv, "--output", str(out)]) == 2
+            assert "rho_xx" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_bad_worker_env_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ZENOSIM_WORKERS", "two")
+        out = tmp_path / "x"
+        assert cli.main(["simulate", "fig1", "--output", str(out)]) == 2
+        assert "ZENOSIM_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["validate", "detector"]) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zenosim.config import ModelSpec, RunConfig, build_model, preset
+from zenosim.config import ConfigError, ModelSpec, RunConfig, build_model, preset
 from zenosim.engine import ProbabilityOverflow, RngStream, run_trajectory
 from zenosim.ensemble import (
     NonPositiveValues,
@@ -109,6 +109,10 @@ class TestRunEnsemble:
     def test_worker_env_override(self, monkeypatch):
         monkeypatch.setenv("ZENOSIM_WORKERS", "3")
         assert default_workers() == 3
+        for bad in ("two", "-3"):
+            monkeypatch.setenv("ZENOSIM_WORKERS", bad)
+            with pytest.raises(ConfigError, match=f"ZENOSIM_WORKERS.*{bad}"):
+                default_workers()
 
     @pytest.mark.filterwarnings("ignore::zenosim.engine.JumpProbabilityWarning")
     def test_failing_trajectories_abort(self):
