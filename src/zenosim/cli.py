@@ -118,9 +118,17 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
+def _workers(args) -> int:
+    if args.workers is None:
+        return default_workers()
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    return args.workers
+
+
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
-    workers = default_workers() if args.workers is None else args.workers
+    workers = _workers(args)
     outdir = Path(args.output) if args.output else Path("out") / str(args.target).replace("/", "_")
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -247,7 +255,7 @@ def _cmd_validate(args) -> int:
     if args.n_trajectories is not None:
         n = args.n_trajectories
         kwargs = dict(n_detector=n, n_zeno=n, n_detuned=n, n_decay=n, n_anti=n)
-    runs = acceptance.AcceptanceRuns(workers=args.workers, master_seed=args.seed, **kwargs)
+    runs = acceptance.AcceptanceRuns(workers=_workers(args), master_seed=args.seed, **kwargs)
     results = acceptance.run_suite(args.suite, runs)
     print(acceptance.format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION

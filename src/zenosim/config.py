@@ -124,6 +124,11 @@ class RunConfig:
             self.observables = tuple(self.observables)
 
     def with_overrides(self, **kw) -> "RunConfig":
+        """A copy with the fields in ``kw`` replaced.  A changed ``t_max`` or
+        ``dt`` derives ``decimation`` afresh unless ``kw`` gives it."""
+        if "decimation" not in kw and (kw.get("t_max", self.t_max) != self.t_max
+                                       or kw.get("dt", self.dt) != self.dt):
+            kw["decimation"] = None
         return replace(self, **kw)
 
 

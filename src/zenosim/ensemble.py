@@ -139,7 +139,9 @@ def run_ensemble(config: RunConfig, workers: Optional[int] = None,
     n = config.n_trajectories
     if workers is None:
         workers = default_workers()
-    workers = max(1, min(workers, n))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, n)
     model = build_model(config.model)
     size = max(1, min(BATCH_AMPLITUDES // model.dim, -(-n // workers)))
     ranges = [(lo, min(lo + size, n)) for lo in range(0, n, size)]

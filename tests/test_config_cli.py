@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from zenosim import cli
+from zenosim import acceptance, cli
 from zenosim.config import (
-    ConfigError, ModelSpec, build_model, describe, load_config_file, preset, preset_names,
+    ConfigError, ModelSpec, RunConfig, build_model, describe, load_config_file, preset,
+    preset_names,
 )
 from zenosim.engine import RngStream, run_trajectory
 from zenosim.ensemble import run_ensemble
@@ -68,6 +69,15 @@ class TestPresetTable:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset("fig99")
+
+    def test_overrides_rederive_decimation(self):
+        base = preset("fig2")
+        fresh = RunConfig(base.model, dt=base.dt, t_max=3000.0)
+        assert base.with_overrides(t_max=3000.0).decimation == fresh.decimation == 8
+        assert preset("fig6").with_overrides(dt=0.01).decimation == 6
+        assert base.with_overrides(t_max=3000.0, decimation=3).decimation == 3
+        kept = base.with_overrides(decimation=3)
+        assert kept.with_overrides(t_max=30.0, n_trajectories=2).decimation == 3
 
 
 class TestConfigFile:
@@ -305,3 +315,82 @@ omega_d = 1
         assert "ZENOSIM_WORKERS" in capsys.readouterr().err
         assert not out.exists()
         assert cli.main(["validate", "detector"]) == 2
+
+    def test_bad_worker_flag_exit_2(self, tmp_path, capsys):
+        for workers in ("0", "-3"):
+            out = tmp_path / "x"
+            argv = ["simulate", "fig1", "--output", str(out), "--workers", workers]
+            assert cli.main(argv) == 2
+            assert "--workers" in capsys.readouterr().err
+            assert not out.exists()
+            assert cli.main(["validate", "freedecay", "--workers", workers]) == 2
+            assert "--workers" in capsys.readouterr().err
+
+
+class TestCriteriaTable:
+    """The acceptance suite's registration and judging, without running it."""
+
+    def test_keys_are_result_names(self, monkeypatch):
+        made = []
+
+        class Made(Exception):
+            pass
+
+        def record(name):
+            made.append(name)
+            raise Made
+
+        monkeypatch.setattr(acceptance, "CriterionResult", record)
+        for criterion in acceptance.CRITERIA.values():
+            with pytest.raises(Made):
+                criterion(None)
+        assert made == list(acceptance.CRITERIA)
+
+    def test_suites(self):
+        assert acceptance.SUITES["all"] == tuple(acceptance.CRITERIA) == (
+            "detector-coherence", "jump-statistics", "trajectory-dm-equivalence",
+            "zeno-two-level", "anti-zeno-two-level", "free-decay-flat", "free-decay-sloped",
+            "measured-decay-zeno", "coupling-target-independence", "measured-decay-anti-zeno",
+            "laplace-cross-check", "reduced-dm-oracle", "engine-properties")
+        for name, criterion in acceptance.CRITERIA.items():
+            assert criterion.__name__ == "criterion_" + name.replace("-", "_")
+        for suite in acceptance.SUITES.values():
+            assert list(suite) == [n for n in acceptance.SUITES["all"] if n in suite]
+
+    def test_judging_helpers_at_their_bounds(self):
+        up, down = (lambda x: np.nextafter(x, np.inf)), (lambda x: np.nextafter(x, -np.inf))
+        res = acceptance.CriterionResult("helpers")
+        cases = [  # (add a line measuring x, [(x, verdict)], tolerance text, expected)
+            (lambda x: res.relative("r", x, 4.0, 0.25),
+             [(5.0, True), (up(5.0), False), (3.0, True), (down(3.0), False)], "rel 0.25", 4.0),
+            (lambda x: res.absolute("a", x, 4.0, 1.0),
+             [(5.0, True), (up(5.0), False), (3.0, True), (down(3.0), False)], "abs 1", 4.0),
+            (lambda x: res.absolute("e", x, 4.0, 0.0),
+             [(4.0, True), (up(4.0), False), (down(4.0), False)], "exact", 4.0),
+            (lambda x: res.within("w", x, 1.5, 1.0, 2.0),
+             [(1.0, True), (down(1.0), False), (2.0, True), (up(2.0), False)],
+             "within [1, 2]", 1.5),
+            (lambda x: res.bound("le", x, "<=", 2.0, expected=0.0),
+             [(2.0, True), (up(2.0), False), (down(2.0), True)], "<= 2", 0.0),
+            (lambda x: res.bound("lt", x, "<", 2.0),
+             [(2.0, False), (up(2.0), False), (down(2.0), True)], "< 2", 2.0),
+            (lambda x: res.bound("ge", x, ">=", 2.0),
+             [(2.0, True), (up(2.0), True), (down(2.0), False)], ">= 2", 2.0),
+            (lambda x: res.bound("gt", x, ">", 2.0),
+             [(2.0, False), (up(2.0), True), (down(2.0), False)], "> 2", 2.0),
+        ]
+        for add, points, text, expected in cases:
+            for x, verdict in points:
+                add(x)
+                line = res.lines[-1]
+                assert (line.measured, line.expected, line.tolerance, line.ok) == \
+                    (x, expected, text, verdict)
+
+        times = np.arange(4.0)
+        stderr = np.array([0.0, 0.25, 0.0, 0.0])
+        for peak, verdict in ((1.75, True), (up(1.75), False)):
+            curve = np.array([0.0, peak, 0.0, 9.0])   # t = 3 lies outside [0, 2]
+            acceptance._band_check(res, "band", times, curve, np.zeros(4), stderr,
+                                   0.0, 2.0, floor=0.5)
+            line = res.lines[-1]
+            assert (line.ok, line.tolerance) == (verdict, "<= 5*stderr+0.5 on [0,2]")

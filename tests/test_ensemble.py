@@ -114,6 +114,11 @@ class TestRunEnsemble:
             with pytest.raises(ConfigError, match=f"ZENOSIM_WORKERS.*{bad}"):
                 default_workers()
 
+    def test_worker_count_below_1_rejected(self):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                run_ensemble(self.small_config(n=2), workers=workers)
+
     @pytest.mark.filterwarnings("ignore::zenosim.engine.JumpProbabilityWarning")
     def test_failing_trajectories_abort(self):
         # a step so large that the very first jump decision overflows
