@@ -135,6 +135,7 @@ def _cmd_simulate(args) -> int:
     outputs = []
     try:
         stats = run_ensemble(cfg, workers=workers, keep_curves=args.per_trajectory)
+        ensemble_done = time.perf_counter()
         ens_path = outdir / "ensemble.csv"
         write_ensemble_csv(ens_path, stats)
         outputs.append(str(ens_path))
@@ -143,6 +144,7 @@ def _cmd_simulate(args) -> int:
                 path = outdir / f"trajectory_{i:04d}.csv"
                 write_trajectory_csv(path, stats.record(i))
                 outputs.append(str(path))
+        csv_done = time.perf_counter()
     except Exception as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -150,7 +152,9 @@ def _cmd_simulate(args) -> int:
     wall = time.perf_counter() - started
     manifest = outdir / "manifest.json"
     write_manifest(manifest, cfg, outputs, wall,
-                   extra={"total_jumps": stats.total_jumps})
+                   extra={"total_jumps": stats.total_jumps,
+                          "phase_wall_s": {"ensemble": ensemble_done - started,
+                                           "csv": csv_done - ensemble_done}})
     outputs.append(str(manifest))
     print(f"wrote {len(outputs)} files to {outdir} in {wall:.1f}s "
           f"({stats.n_trajectories} trajectories, {stats.total_jumps} jumps)")

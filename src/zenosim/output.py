@@ -1,9 +1,12 @@
 """CSV emission and run manifests.
 
-Floats are serialized with 17 significant digits so files round-trip to the
-exact in-memory values.  Ensemble files carry one mean and one standard
-error column per observable; per-trajectory files add a 0/1 ``jump`` column
-marking rows recorded immediately after a collapse.
+Both CSV files are comma-separated with CRLF row ends and one header row.
+Every float is written as ``%.17g`` (17 significant digits), so files
+round-trip to the exact in-memory values.  Ensemble files carry one mean
+and one standard error column per observable.  Per-trajectory files add a
+0/1 ``jump`` column: a collapse marks the first recorded row at or after
+the end of the step it was decided in, and marks nothing when that step
+ends after the last recorded row.
 """
 
 from __future__ import annotations
@@ -20,24 +23,29 @@ from .config import RunConfig, describe
 from .engine import TrajectoryRecord
 from .ensemble import EnsembleStatistics
 
+# rows formatted per write: bounds the text held in memory
+_BLOCK_ROWS = 1024
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+
+def _write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write ``header`` and one row per index of the equal-length ``columns``,
+    each row one ``%`` of a single template: ``%d`` for integer columns,
+    ``%.17g`` for the rest."""
+    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
+                   for c in columns) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
+            fh.write("".join([row % r for r in zip(*block, strict=True)]))
 
 
 def write_ensemble_csv(path, stats: EnsembleStatistics) -> None:
-    names = stats.observable_names()
-    header = ["t"]
-    for n in names:
+    header, columns = ["t"], [stats.times]
+    for n in stats.observable_names():
         header += [f"{n}_mean", f"{n}_stderr"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i, t in enumerate(stats.times):
-            row = [_fmt(t)]
-            for n in names:
-                row += [_fmt(stats.mean[n][i]), _fmt(stats.std_error[n][i])]
-            w.writerow(row)
+        columns += [stats.mean[n], stats.std_error[n]]
+    _write_table(path, header, columns)
 
 
 def read_ensemble_csv(path):
@@ -53,22 +61,14 @@ def read_ensemble_csv(path):
 
 def write_trajectory_csv(path, rec: TrajectoryRecord) -> None:
     names = tuple(rec.observables.keys())
-    jump_rows = set()
     times = rec.times
-    if len(times) > 1:
-        step = times[1] - times[0]
-        for j in rec.jumps:
-            idx = int(np.ceil((j.time - times[0]) / step + 1e-9))
-            if 0 <= idx < len(times):
-                jump_rows.add(idx)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", *names, "jump"])
-        for i, t in enumerate(times):
-            row = [_fmt(t)]
-            row += [_fmt(rec.observables[n][i]) for n in names]
-            row.append("1" if i in jump_rows else "0")
-            w.writerow(row)
+    jump = np.zeros(len(times), dtype=np.int8)
+    if len(times) > 1 and rec.jumps:
+        rows = np.ceil((np.array([j.time for j in rec.jumps]) - times[0])
+                       / (times[1] - times[0]) + 1e-9)
+        jump[rows[(rows >= 0) & (rows < len(times))].astype(np.intp)] = 1
+    _write_table(path, ["t", *names, "jump"],
+                 [times, *(rec.observables[n] for n in names), jump])
 
 
 def write_manifest(path, config: RunConfig, outputs: list[str],

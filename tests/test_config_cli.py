@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -8,8 +9,8 @@ from zenosim.config import (
     ConfigError, ModelSpec, RunConfig, build_model, describe, load_config_file, preset,
     preset_names,
 )
-from zenosim.engine import RngStream, run_trajectory
-from zenosim.ensemble import run_ensemble
+from zenosim.engine import JumpEvent, RngStream, TrajectoryRecord, run_trajectory
+from zenosim.ensemble import EnsembleStatistics, run_ensemble
 from zenosim.models import DetectorParams, DriveParams, ReservoirSpec
 from zenosim.output import read_ensemble_csv, write_ensemble_csv, write_trajectory_csv
 
@@ -202,6 +203,61 @@ class TestCsvRoundTrip:
             np.testing.assert_array_equal(back[f"{k}_mean"], stats.mean[k])
             np.testing.assert_array_equal(back[f"{k}_stderr"], stats.std_error[k])
 
+    # values whose text needs all 17 digits, a signed zero, the smallest
+    # subnormal, a huge and an exact zero
+    VALUES = np.array([0.1, 1 / 3, -0.0, 5e-324, 1e300, 0.0])
+
+    @staticmethod
+    def _reference_bytes(tmp_path, header, rows):
+        # the writer kept as an oracle: csv.writer, one format() per cell
+        path = tmp_path / "reference.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([c if isinstance(c, str) else format(float(c), ".17g") for c in row])
+        return path.read_bytes()
+
+    def test_trajectory_bytes_match_reference(self, tmp_path):
+        v = self.VALUES
+        rec = TrajectoryRecord(
+            trajectory_id=0, times=np.arange(len(v)) * 0.1,
+            observables={"rho_ee": v, "rho_gg": v[::-1].copy()},
+            jumps=[JumpEvent(time=0.1, pre_jump_norm=1.0, trajectory_id=0)], seed_used=1)
+        write_trajectory_csv(tmp_path / "traj.csv", rec)
+        rows = [[t, a, b, "1" if i == 2 else "0"]
+                for i, (t, a, b) in enumerate(zip(rec.times, v, v[::-1]))]
+        assert ((tmp_path / "traj.csv").read_bytes()
+                == self._reference_bytes(tmp_path, ["t", "rho_ee", "rho_gg", "jump"], rows))
+
+    def test_ensemble_bytes_match_reference(self, tmp_path):
+        v = self.VALUES
+        stats = EnsembleStatistics(
+            times=v[::-1].copy(), mean={"rho_ee": v, "rho_gg": -v},
+            std_error={"rho_ee": v / 7, "rho_gg": v * 3}, n_trajectories=2, total_jumps=0)
+        write_ensemble_csv(tmp_path / "ens.csv", stats)
+        rows = zip(v[::-1], v, v / 7, -v, v * 3)
+        header = ["t", "rho_ee_mean", "rho_ee_stderr", "rho_gg_mean", "rho_gg_stderr"]
+        assert ((tmp_path / "ens.csv").read_bytes()
+                == self._reference_bytes(tmp_path, header, rows))
+
+    def test_jump_marks_under_decimation(self, tmp_path):
+        # dt = 0.1, stride 3, 200 steps: rows at 0, 0.3, ..., 19.8; a collapse
+        # decided in step k marks the first row at or after (k + 1) * dt
+        dt, stride = 0.1, 3
+        times = np.arange(200 // stride + 1) * (stride * dt)
+        rec = TrajectoryRecord(
+            trajectory_id=0, times=times, observables={"rho_ee": np.zeros(len(times))},
+            jumps=[JumpEvent(time=k * dt, pre_jump_norm=1.0, trajectory_id=0)
+                   for k in (0, 1, 2, 3, 199)],
+            seed_used=1)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, rec)
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == 67
+        marked = [i for i, line in enumerate(lines) if line.endswith(",1")]
+        assert marked == [1, 2]
+
 
 class TestCli:
     def test_oracle_measurement_time(self, capsys):
@@ -256,6 +312,10 @@ class TestCli:
         assert manifest["config"]["omega_a"] == 1.0
         header = (out / "trajectory_0000.csv").read_text().splitlines()[0]
         assert header.startswith("t,") and header.endswith(",jump")
+        phases = manifest["phase_wall_s"]
+        assert set(phases) == {"ensemble", "csv"}
+        assert min(phases.values()) >= 0
+        assert sum(phases.values()) <= manifest["wall_time_s"]
 
     def test_per_trajectory_csv_matches_replay(self, tmp_path):
         out = tmp_path / "run"
