@@ -32,11 +32,10 @@ for stream_id in range(40):
         break
 
 for kind, (stream_id, rec) in shown.items():
-    jumps = [j.time for j in rec.jumps]
     print(f"trajectory {stream_id}: collapsed to the {kind} level")
-    print(f"  jumps: {len(jumps)}")
-    if len(jumps) > 1:
-        gaps = np.diff(jumps)
+    print(f"  jumps: {len(rec.jumps)}")
+    if len(rec.jumps) > 1:
+        gaps = np.diff(rec.jumps)
         print(f"  mean gap between jumps: {gaps.mean():.2f}  (tau_m = {tau_m:g})")
     path = f"detector_trajectory_{kind}.csv"
     write_trajectory_csv(path, rec)

@@ -37,7 +37,7 @@ TAU_M = 5.0
 for name, label in (("fig9", "ground-coupled"), ("fig11", "excited-coupled")):
     cfg = preset(name).with_overrides(t_max=150.0)
     rec = run_trajectory(build_model(cfg.model), cfg, RngStream(cfg.master_seed, 2))
-    first = rec.jumps[0].time if rec.jumps else None
+    first = rec.jumps[0] if rec.jumps else None
     print(f"{label} detector: {len(rec.jumps)} jumps, first at t = {first}")
 print()
 

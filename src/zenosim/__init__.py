@@ -20,7 +20,6 @@ from .models import (
     ReservoirSpec,
 )
 from .engine import (
-    JumpEvent,
     JumpProbabilityWarning,
     ProbabilityOverflow,
     RngStream,
@@ -53,7 +52,7 @@ __all__ = [
     "DetectorParams", "DriveParams", "ReservoirSpec", "ModelSpec",
     "DetectorMeasurementModel", "RabiMeasuredModel", "FreeDecayModel",
     "MeasuredDecayModel", "build_model",
-    "RngStream", "JumpEvent", "TrajectoryRecord", "ProbabilityOverflow",
+    "RngStream", "TrajectoryRecord", "ProbabilityOverflow",
     "JumpProbabilityWarning", "ZeroNorm", "run_trajectory",
     "EnsembleStatistics", "FitResult", "NonPositiveValues", "run_ensemble",
     "fit_exponential_rate", "default_fit_window", "block_rate_estimate",

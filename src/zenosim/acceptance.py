@@ -4,8 +4,10 @@ A criterion is a function ``criterion_x(runs, res)`` declared with
 ``@criterion(name, suite)``.  The decorator registers it in CRITERIA (in
 declaration order) and in its suite, and turns it into
 ``criterion_x(runs) -> CriterionResult``: it creates the result, times the
-body and returns the result.  Heavy ensemble runs and references are shared
-between criteria through AcceptanceRuns.
+body and returns the result.  An exception the body raises becomes one
+failing line, ``raised <Type>: <message>``, so a suite still reports every
+criterion.  Heavy ensemble runs and references are shared between criteria
+through AcceptanceRuns.
 
 A check is one CheckLine (label, measured value, expected value, tolerance,
 verdict), added through a judging helper of CriterionResult: ``relative``,
@@ -202,7 +204,11 @@ def criterion(name: str, suite: Optional[str] = None):
         def run(runs: AcceptanceRuns) -> CriterionResult:
             t0 = time.perf_counter()
             res = CriterionResult(name)
-            body(runs, res)
+            try:
+                body(runs, res)
+            except Exception as exc:
+                res._add(f"raised {type(exc).__name__}: {exc}", np.nan, np.nan,
+                         "no exception", False)
             res.wall_time_s = time.perf_counter() - t0
             return res
         CRITERIA[name] = run
@@ -230,16 +236,13 @@ def criterion_detector_coherence(runs, res):
 def criterion_jump_statistics(runs, res):
     """Ground-collapsed trajectories show repeated jumps roughly tau_m apart."""
     stats = runs.ensemble("fig2", runs.n_detector, t_max=50.0, observables=("rho_gg",))
-    per_traj_means = []
-    n_ground = 0
-    for summary in stats.trajectory_summaries:
-        if summary.final_observables.get("rho_gg", 0.0) > 0.5:
-            n_ground += 1
-            if summary.n_jumps >= 2:
-                per_traj_means.append(float(np.mean(np.diff(summary.jump_times))))
+    batch = stats.trajectories
+    ground = batch.final_observables["rho_gg"] > 0.5
+    per_traj_means = [float(np.mean(np.diff(batch.jumps[k])))
+                      for k in np.flatnonzero(ground) if len(batch.jumps[k]) >= 2]
     mean_interval = float(np.mean(per_traj_means)) if per_traj_means else np.inf
-    res.within("ground-collapsed fraction", n_ground / stats.n_trajectories, 0.5,
-               0.3, 0.7)
+    res.within("ground-collapsed fraction", np.count_nonzero(ground) / stats.n_trajectories,
+               0.5, 0.3, 0.7)
     res.within("mean inter-jump interval", mean_interval, TAU_M,
                TAU_M / 2.0, 2.0 * TAU_M)
 
@@ -345,7 +348,8 @@ def _measured_decay(res, stats, labels, expected, rel, free_rate, direction):
     in ``direction`` (+1 faster, -1 slower), at least 3."""
     window, rate = _window_fit(stats.times, stats.mean["rho_ee"], stats.std_error["rho_ee"])
     res.relative(labels[0], rate, expected, rel * _mc_scale(200, stats.n_trajectories))
-    rate_mean, rate_se, _ = block_rate_estimate(stats.times, stats.curves["rho_ee"], window)
+    rate_mean, rate_se, _ = block_rate_estimate(
+        stats.times, stats.trajectories.observables["rho_ee"], window)
     res.bound(labels[1], direction * (rate_mean - free_rate) / rate_se, ">=", 3.0)
 
 
@@ -371,7 +375,7 @@ def criterion_coupling_target_independence(runs, res):
                 0.0, float(ground.times[-1]))
 
     def median_first_jump(stats):
-        firsts = [s.jump_times[0] for s in stats.trajectory_summaries if s.n_jumps > 0]
+        firsts = [jumps[0] for jumps in stats.trajectories.jumps if jumps]
         return float(np.median(firsts)) if firsts else np.inf
 
     mg = median_first_jump(ground)
@@ -452,7 +456,7 @@ def criterion_engine_properties(runs, res):
     same = all(
         np.array_equal(rec1.observables[k], rec2.observables[k])
         for k in rec1.observables
-    ) and [j.time for j in rec1.jumps] == [j.time for j in rec2.jumps]
+    ) and rec1.jumps == rec2.jumps
     res.absolute("seed determinism (bit-identical rerun)", 1.0 if same else 0.0, 1.0, 0.0)
 
     # lam = 0: pure driven oscillation against the closed forms.  The

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -178,15 +179,12 @@ def _require(args, names) -> bool:
 
 
 def _reservoir_from_args(args) -> ReservoirSpec:
+    res = ReservoirSpec(n_modes=args.n_modes, half_width=args.lambda_band, slope=args.a)
     if args.g0 is not None:
-        g0 = args.g0
-    elif args.gamma0 is not None:
-        spacing = 2.0 * args.lambda_band / (args.n_modes - 1)
-        g0 = float(np.sqrt(args.gamma0 * spacing / (2.0 * np.pi)))
-    else:
-        raise ConfigError("provide --g0 or --gamma0")
-    return ReservoirSpec(n_modes=args.n_modes, half_width=args.lambda_band,
-                         g0=g0, slope=args.a)
+        return replace(res, g0=args.g0)
+    if args.gamma0 is not None:
+        return replace(res, g0=float(np.sqrt(args.gamma0 * res.mode_spacing / (2.0 * np.pi))))
+    raise ConfigError("provide --g0 or --gamma0")
 
 
 def _cmd_oracle(args) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import DetectorParams, ReservoirSpec
-from .config import ModelSpec
+from .config import ModelSpec, build_model
 
 HERMITICITY_TOL = 1e-8
 TRACE_TOL = 1e-7
@@ -115,9 +115,10 @@ def evolve_master_detector(spec: ModelSpec, t_max: float, dt: float,
                            record_every: int = 1):
     """Integrate the monitored-system master equation on the 4-level basis.
 
-    ``spec`` must be a 'detector' or 'rabi' ModelSpec.  Returns
-    (times, rhos) with rhos of shape (n_rec, 4, 4): t = 0 and every
-    ``record_every``-th of the round(t_max/dt) RK4 steps of size ``dt``.
+    ``spec`` must be a 'detector' or 'rabi' ModelSpec; ``rho0`` defaults to
+    the pure state of the model's initial amplitudes.  Returns (times, rhos)
+    with rhos of shape (n_rec, 4, 4): t = 0 and every ``record_every``-th of
+    the round(t_max/dt) RK4 steps of size ``dt``.
     The generator is constant (in the rotating frame for a detuned drive),
     so the RK4 step is one 16x16 matrix and ``record_every`` steps are its
     power: one matvec per recorded point.  Hermiticity is checked at every
@@ -128,10 +129,7 @@ def evolve_master_detector(spec: ModelSpec, t_max: float, dt: float,
     h, sm, gamma, detuning = _four_level_operators(spec)
 
     if rho0 is None:
-        if spec.variant == "detector":
-            psi = np.array([0, 1, 0, 1], complex) / np.sqrt(2)
-        else:
-            psi = np.array([0, 0, 0, 1], complex)
+        psi = build_model(spec).initial_amplitudes()
         rho = np.outer(psi, psi.conj())
     else:
         rho = np.asarray(rho0, dtype=complex).copy()

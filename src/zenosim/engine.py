@@ -85,25 +85,15 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class JumpEvent:
-    """A collapse: grid time at which it was decided, the norm of the
-    detector-excited component just before the collapse, and the trajectory
-    it belongs to."""
-
-    time: float
-    pre_jump_norm: float
-    trajectory_id: int
-
-
 @dataclass
 class TrajectoryRecord:
-    """Recorded time series of one trajectory."""
+    """Recorded time series of one trajectory; ``jumps`` lists the grid times
+    at which its collapses were decided."""
 
     trajectory_id: int
     times: np.ndarray
     observables: dict[str, np.ndarray]
-    jumps: list[JumpEvent]
+    jumps: list[float]
     seed_used: int
     final_observables: dict[str, float] = field(default_factory=dict)
 
@@ -168,14 +158,29 @@ class TrajectoryBatch:
 
     ``observables`` maps a name to an (n, len(times)) array and
     ``final_observables`` a name to the n values at the end of the run;
-    ``jumps[k]`` lists the collapses of the trajectory of ``streams[k]``.
+    ``jumps[k]`` lists the grid times of the collapses of the trajectory of
+    ``streams[k]``.
     """
 
     streams: list[RngStream]
     times: np.ndarray
     observables: dict[str, np.ndarray]
-    jumps: list[list[JumpEvent]]
+    jumps: list[list[float]]
     final_observables: dict[str, np.ndarray]
+
+    @classmethod
+    def concatenate(cls, batches: list[TrajectoryBatch]) -> TrajectoryBatch:
+        """One batch of the rows of ``batches``, in order; they share a grid."""
+        first = batches[0]
+        return cls(
+            streams=[s for b in batches for s in b.streams],
+            times=first.times,
+            observables={k: np.concatenate([b.observables[k] for b in batches])
+                         for k in first.observables},
+            jumps=[j for b in batches for j in b.jumps],
+            final_observables={k: np.concatenate([b.final_observables[k] for b in batches])
+                               for k in first.final_observables},
+        )
 
     def record(self, k: int) -> TrajectoryRecord:
         """Trajectory ``k`` of the batch on its own."""
@@ -259,7 +264,7 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
     gamma_dt = model.gamma * dt
     stepper = _stepper(model, config.integrator)
     generators = [stream.generator() for stream in streams]
-    jumps: list[list[JumpEvent]] = [[] for _ in streams]
+    jumps: list[list[float]] = [[] for _ in streams]
     warned = False
 
     for i in range(n_steps):
@@ -291,18 +296,15 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
             if jump.any():
                 jumped = np.flatnonzero(jump)
         if len(jumped):
-            pre = c[jumped]
-            weights = model.excited_weight(pre) / n2[jumped]
-            post = model.collapse_amplitudes(pre)
+            post = model.collapse_amplitudes(c[jumped])
             m2 = _weight(post)
             if m2.min() <= ZERO_NORM_THRESHOLD:
                 k = jumped[np.argmin(m2)]
                 raise ZeroNorm(f"collapsed state norm underflowed at t={t} "
                                f"{_trajectory(streams[k])}")
             post /= np.sqrt(m2)[:, None]
-            for k, w_k in zip(jumped, weights):
-                jumps[k].append(JumpEvent(time=t, pre_jump_norm=float(np.sqrt(w_k)),
-                                          trajectory_id=streams[k].stream_id))
+            for k in jumped:
+                jumps[k].append(t)
         amplitudes = c.view(np.float64)
         np.divide(amplitudes, np.sqrt(n2)[:, None], out=amplitudes)
         if len(jumped):

@@ -3,23 +3,24 @@
 Trajectory i always uses random substream i of the master seed, and the
 engine steps each chunk of trajectories as one batch whose rows do not
 depend on each other, so every trajectory's record is independent of worker
-count, chunking and merge order.  The merge stacks the chunks in index order
-into one (n, npts) array per observable and takes the mean and standard
-error from it with a two-pass formula, which makes ensemble statistics
-bit-stable across reruns and worker counts, and numerically stable.
+count, chunking and merge order.  The merge concatenates the chunks in index
+order into one TrajectoryBatch, with one (n, npts) array per observable,
+and takes the mean and standard error from it with a two-pass formula,
+which makes ensemble statistics bit-stable across reruns and worker
+counts, and numerically stable.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, build_model
-from .engine import JumpEvent, RngStream, TrajectoryBatch, TrajectoryRecord, run_batch
+from .engine import RngStream, TrajectoryBatch, TrajectoryRecord, run_batch
 # ``run_trajectory`` stays importable from this module: benchmarks/tracing.py
 # wraps it here by name.
 from .engine import run_trajectory  # noqa: F401
@@ -38,29 +39,13 @@ class NonPositiveValues(ValueError):
 
 
 @dataclass
-class TrajectorySummary:
-    """Per-trajectory digest kept alongside the ensemble statistics."""
-
-    trajectory_id: int
-    jumps: list[JumpEvent]
-    final_observables: dict[str, float]
-
-    @property
-    def n_jumps(self) -> int:
-        return len(self.jumps)
-
-    @property
-    def jump_times(self) -> np.ndarray:
-        return np.array([j.time for j in self.jumps])
-
-
-@dataclass
 class EnsembleStatistics:
     """Across-trajectory mean and standard error per recorded time.
 
-    ``curves`` holds the raw per-trajectory series (one row per trajectory)
-    when the ensemble was run with keep_curves=True; block-wise analyses
-    and ``record`` need them.
+    ``trajectories`` is the run's merged batch, one row per trajectory: its
+    jumps and final values are always kept, its observables only when the
+    ensemble was run with keep_curves=True (block-wise analyses and
+    ``record`` need them).
     """
 
     times: np.ndarray
@@ -68,26 +53,16 @@ class EnsembleStatistics:
     std_error: dict[str, np.ndarray]
     n_trajectories: int
     total_jumps: int
-    trajectory_summaries: list[TrajectorySummary] = field(default_factory=list)
-    curves: Optional[dict[str, np.ndarray]] = None
-    master_seed: Optional[int] = None
+    trajectories: Optional[TrajectoryBatch] = None
 
     def observable_names(self) -> tuple[str, ...]:
         return tuple(self.mean.keys())
 
     def record(self, i: int) -> TrajectoryRecord:
         """Trajectory ``i`` as the run recorded it; needs the curves."""
-        if self.curves is None:
+        if self.trajectories is None or not self.trajectories.observables:
             raise ValueError("per-trajectory records need an ensemble run with keep_curves=True")
-        summary = self.trajectory_summaries[i]
-        return TrajectoryRecord(
-            trajectory_id=summary.trajectory_id,
-            times=self.times,
-            observables={k: v[i] for k, v in self.curves.items()},
-            jumps=summary.jumps,
-            seed_used=self.master_seed,
-            final_observables=summary.final_observables,
-        )
+        return self.trajectories.record(i)
 
 
 def default_workers() -> int:
@@ -158,25 +133,20 @@ def run_ensemble(config: RunConfig, workers: Optional[int] = None,
                     fut.cancel()
                 raise
 
-    first = batches[0]
-    names = tuple(first.observables)
-    curves = {k: np.concatenate([b.observables[k] for b in batches]) for k in names}
+    merged = TrajectoryBatch.concatenate(batches)
     mean, std_error = {}, {}
-    for k in names:
-        mean[k], std_error[k] = mean_and_stderr(curves[k])
-    records = (b.record(j) for b in batches for j in range(len(b.streams)))
-    summaries = [TrajectorySummary(r.trajectory_id, r.jumps, r.final_observables)
-                 for r in records]
+    for k, curves in merged.observables.items():
+        mean[k], std_error[k] = mean_and_stderr(curves)
+    if not keep_curves:
+        merged.observables = {}
 
     return EnsembleStatistics(
-        times=first.times.copy(),
+        times=merged.times,
         mean=mean,
         std_error=std_error,
         n_trajectories=n,
-        total_jumps=sum(s.n_jumps for s in summaries),
-        trajectory_summaries=summaries,
-        curves=curves if keep_curves else None,
-        master_seed=config.master_seed,
+        total_jumps=sum(len(j) for j in merged.jumps),
+        trajectories=merged,
     )
 
 

@@ -64,8 +64,7 @@ def write_trajectory_csv(path, rec: TrajectoryRecord) -> None:
     times = rec.times
     jump = np.zeros(len(times), dtype=np.int8)
     if len(times) > 1 and rec.jumps:
-        rows = np.ceil((np.array([j.time for j in rec.jumps]) - times[0])
-                       / (times[1] - times[0]) + 1e-9)
+        rows = np.ceil((np.array(rec.jumps) - times[0]) / (times[1] - times[0]) + 1e-9)
         jump[rows[(rows >= 0) & (rows < len(times))].astype(np.intp)] = 1
     _write_table(path, ["t", *names, "jump"],
                  [times, *(rec.observables[n] for n in names), jump])

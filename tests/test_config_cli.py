@@ -9,7 +9,7 @@ from zenosim.config import (
     ConfigError, ModelSpec, RunConfig, build_model, describe, load_config_file, preset,
     preset_names,
 )
-from zenosim.engine import JumpEvent, RngStream, TrajectoryRecord, run_trajectory
+from zenosim.engine import RngStream, TrajectoryRecord, run_trajectory
 from zenosim.ensemble import EnsembleStatistics, run_ensemble
 from zenosim.models import DetectorParams, DriveParams, ReservoirSpec
 from zenosim.output import read_ensemble_csv, write_ensemble_csv, write_trajectory_csv
@@ -223,7 +223,7 @@ class TestCsvRoundTrip:
         rec = TrajectoryRecord(
             trajectory_id=0, times=np.arange(len(v)) * 0.1,
             observables={"rho_ee": v, "rho_gg": v[::-1].copy()},
-            jumps=[JumpEvent(time=0.1, pre_jump_norm=1.0, trajectory_id=0)], seed_used=1)
+            jumps=[0.1], seed_used=1)
         write_trajectory_csv(tmp_path / "traj.csv", rec)
         rows = [[t, a, b, "1" if i == 2 else "0"]
                 for i, (t, a, b) in enumerate(zip(rec.times, v, v[::-1]))]
@@ -248,8 +248,7 @@ class TestCsvRoundTrip:
         times = np.arange(200 // stride + 1) * (stride * dt)
         rec = TrajectoryRecord(
             trajectory_id=0, times=times, observables={"rho_ee": np.zeros(len(times))},
-            jumps=[JumpEvent(time=k * dt, pre_jump_norm=1.0, trajectory_id=0)
-                   for k in (0, 1, 2, 3, 199)],
+            jumps=[k * dt for k in (0, 1, 2, 3, 199)],
             seed_used=1)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, rec)
@@ -281,6 +280,11 @@ class TestCli:
         value = float(out.split()[1])
         assert value == pytest.approx(0.016430, abs=1e-6)
         assert "2.5" in out  # validity note carries half_width * tau_m
+
+    def test_oracle_one_mode_names_n_modes(self, capsys):
+        code = cli.main(["oracle", "golden", "--gamma0", "0.01", "--n-modes", "1"])
+        assert code == 2
+        assert "n_modes" in capsys.readouterr().err
 
     def test_oracle_missing_parameters_exit_2(self, capsys):
         code = cli.main(["oracle", "tau_m", "--gamma", "10"])
@@ -358,6 +362,18 @@ omega_d = 1
         assert code == 0
         assert "free-decay-flat" in out
         assert "PASS" in out
+
+    def test_validate_reports_a_raising_criterion(self, capsys):
+        # two trajectories leave too few blocks for the block-rate fit
+        code = cli.main(["validate", "antizenodecay", "--n-trajectories", "2",
+                         "--workers", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "raised ValueError: too few usable blocks" in out
+        for name in acceptance.SUITES["antizenodecay"]:
+            assert f"{name:30s} => " in out
+        assert "passed " in out.splitlines()[-1]
+        assert "Traceback" not in out + err
 
     def test_unknown_observable_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -96,15 +96,29 @@ class TestRunEnsemble:
     def test_jump_bookkeeping(self):
         cfg = self.small_config(n=6, t_max=30.0)
         stats = run_ensemble(cfg, workers=1)
-        assert stats.total_jumps == sum(s.n_jumps for s in stats.trajectory_summaries)
-        assert [s.trajectory_id for s in stats.trajectory_summaries] == list(range(6))
+        batch = stats.trajectories
+        assert stats.total_jumps == sum(len(j) for j in batch.jumps)
+        assert [s.stream_id for s in batch.streams] == list(range(6))
+        assert batch.final_observables["rho_gg"].shape == (6,)
 
     def test_keep_curves_shape(self):
         cfg = self.small_config(n=5)
         stats = run_ensemble(cfg, workers=1, keep_curves=True)
-        assert stats.curves["rho_aa"].shape == (5, len(stats.times))
-        np.testing.assert_allclose(stats.curves["rho_aa"].mean(axis=0),
-                                   stats.mean["rho_aa"], atol=1e-14)
+        curves = stats.trajectories.observables["rho_aa"]
+        assert curves.shape == (5, len(stats.times))
+        np.testing.assert_allclose(curves.mean(axis=0), stats.mean["rho_aa"], atol=1e-14)
+
+    def test_dropped_curves_keep_jumps_and_final_values(self):
+        cfg = self.small_config(n=5, t_max=30.0)
+        kept = run_ensemble(cfg, workers=2, keep_curves=True).trajectories
+        dropped = run_ensemble(cfg, workers=2)
+        assert dropped.trajectories.observables == {}
+        assert dropped.trajectories.jumps == kept.jumps
+        assert sum(len(j) for j in kept.jumps) > 0
+        for name, values in kept.final_observables.items():
+            np.testing.assert_array_equal(dropped.trajectories.final_observables[name], values)
+        with pytest.raises(ValueError, match="keep_curves"):
+            dropped.record(0)
 
     def test_worker_env_override(self, monkeypatch):
         monkeypatch.setenv("ZENOSIM_WORKERS", "3")
