@@ -26,6 +26,7 @@ from .config import (
     preset,
     preset_names,
 )
+from .engine import STEPPERS
 from .ensemble import default_workers, run_ensemble
 # benchmarks/tracing.py wraps ``build_model`` and ``run_trajectory`` here by
 # name; ``run_trajectory`` stays importable from this module for it.
@@ -47,7 +48,7 @@ def _add_simulate(sub):
     p.add_argument("--t-max", type=float)
     p.add_argument("--n-trajectories", type=int)
     p.add_argument("--seed", type=int, dest="master_seed")
-    p.add_argument("--integrator", choices=("euler", "rk4"))
+    p.add_argument("--integrator", choices=tuple(STEPPERS))
     p.add_argument("--decimation", type=int)
     p.add_argument("--observables", type=parse_names, help="comma-separated observable names")
     p.add_argument("--output", default=None, help="output directory (default: out/<target>)")
@@ -59,12 +60,9 @@ def _add_simulate(sub):
 
 def _add_oracle(sub):
     p = sub.add_parser("oracle", help="print a closed-form rate prediction")
-    p.add_argument("formula", choices=(
-        "tau_m", "coherence", "rabi", "zeno-rate", "golden", "corrected-free",
-        "measured-decay", "anti-zeno", "resolvent-root", "laplace-root",
-    ))
+    p.add_argument("formula", choices=tuple(ORACLES))
     p.add_argument("--gamma", type=float, help="detector decay rate")
-    p.add_argument("--lambda", type=float, dest="lam", help="detector coupling")
+    p.add_argument("--lambda", type=float, metavar="LAM", help="detector coupling")
     p.add_argument("--tau-m", type=float, help="measurement time")
     p.add_argument("--t", type=float, help="time argument")
     p.add_argument("--omega-r", type=float, help="drive strength")
@@ -162,22 +160,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_FLAG_DEST = {"lambda": "lam"}
-
-
-def _require(args, names) -> bool:
-    missing = []
-    for n in names:
-        dest = _FLAG_DEST.get(n, n.replace("-", "_"))
-        if getattr(args, dest, None) is None:
-            missing.append(n)
-    if missing:
-        print(f"oracle: missing required parameters: {', '.join('--' + n for n in missing)}",
-              file=sys.stderr)
-        return False
-    return True
-
-
 def _reservoir_from_args(args) -> ReservoirSpec:
     res = ReservoirSpec(n_modes=args.n_modes, half_width=args.lambda_band, slope=args.a)
     if args.g0 is not None:
@@ -187,66 +169,79 @@ def _reservoir_from_args(args) -> ReservoirSpec:
     raise ConfigError("provide --g0 or --gamma0")
 
 
+class _MissingFlags(Exception):
+    """An oracle formula lacks a flag it needs; the message names it."""
+
+
+def _missing(args, flags) -> list[str]:
+    return [f"--{f}" for f in flags if getattr(args, f.replace("-", "_")) is None]
+
+
+def _prediction(pred):
+    return [(pred.formula_id, pred.rate, pred.validity_note)]
+
+
+def _rabi_rows(args, res):
+    amp = oracles.rabi_amplitude(args.t, DriveParams(args.omega_r, args.detuning))
+    return [("ground amplitude re", amp.real, ""), ("ground amplitude im", amp.imag, ""),
+            ("ground population", abs(amp) ** 2, "")]
+
+
+def _zeno_rows(args, res):
+    tau = args.tau_m
+    if tau is None:
+        if _missing(args, ("gamma", "lambda")):
+            raise _MissingFlags("provide --tau-m or --gamma/--lambda")
+        tau = oracles.measurement_time(args.gamma, getattr(args, "lambda"))
+    return _prediction(oracles.zeno_transition_rate(DriveParams(args.omega_r, args.detuning),
+                                                    tau))
+
+
+def _anti_zeno_rows(args, res):
+    pred = oracles.anti_zeno_rate(res, args.tau_m)
+    note = pred.validity_note or f"half_width*tau_m = {res.half_width * args.tau_m:g}"
+    return [(pred.formula_id, pred.rate, note)]
+
+
+# formula -> (required flags, needs a reservoir band, rows(args, band)), where
+# a row is the printed (label, value, note)
+ORACLES = {
+    "tau_m": (("gamma", "lambda"), False, lambda args, res: [
+        ("measurement time", oracles.measurement_time(args.gamma, getattr(args, "lambda")), "")]),
+    "coherence": (("t", "tau-m"), False, lambda args, res: [
+        ("coherence factor", oracles.coherence_factor(args.t, args.tau_m), "")]),
+    "rabi": (("t", "omega-r"), False, _rabi_rows),
+    "zeno-rate": (("omega-r",), False, _zeno_rows),
+    "golden": ((), True, lambda args, res: _prediction(oracles.golden_rule_rate(res))),
+    "corrected-free": ((), True,
+                       lambda args, res: _prediction(oracles.corrected_free_decay_rate(res))),
+    "measured-decay": (("tau-m",), True, lambda args, res: _prediction(
+        oracles.measured_decay_rate(res, args.tau_m))),
+    "anti-zeno": (("tau-m",), True, _anti_zeno_rows),
+    "resolvent-root": ((), True, lambda args, res: [
+        ("resolvent population rate", oracles.resolvent_decay_rate(res), "")]),
+    "laplace-root": (("tau-m",), True, lambda args, res: [
+        ("laplace-pole population rate", oracles.laplace_decay_rate(res, args.tau_m), "")]),
+}
+
+
 def _cmd_oracle(args) -> int:
-    rows = []
+    flags, band, rows = ORACLES[args.formula]
     try:
-        if args.formula == "tau_m":
-            if not _require(args, ("gamma", "lambda")):
-                return EXIT_CONFIG
-            rows.append(("measurement time", oracles.measurement_time(args.gamma, args.lam), ""))
-        elif args.formula == "coherence":
-            if not _require(args, ("t", "tau-m")):
-                return EXIT_CONFIG
-            rows.append(("coherence factor", oracles.coherence_factor(args.t, args.tau_m), ""))
-        elif args.formula == "rabi":
-            if not _require(args, ("t", "omega-r")):
-                return EXIT_CONFIG
-            amp = oracles.rabi_amplitude(args.t, DriveParams(args.omega_r, args.detuning))
-            rows.append(("ground amplitude re", amp.real, ""))
-            rows.append(("ground amplitude im", amp.imag, ""))
-            rows.append(("ground population", abs(amp) ** 2, ""))
-        elif args.formula == "zeno-rate":
-            if not _require(args, ("omega-r",)):
-                return EXIT_CONFIG
-            tau = args.tau_m if args.tau_m is not None else (
-                oracles.measurement_time(args.gamma, args.lam)
-                if args.gamma is not None and args.lam is not None else None)
-            if tau is None:
-                print("oracle: provide --tau-m or --gamma/--lambda", file=sys.stderr)
-                return EXIT_CONFIG
-            pred = oracles.zeno_transition_rate(DriveParams(args.omega_r, args.detuning), tau)
-            rows.append((pred.formula_id, pred.rate, pred.validity_note))
-        else:
-            res = _reservoir_from_args(args)
-            if args.formula == "golden":
-                pred = oracles.golden_rule_rate(res)
-                rows.append((pred.formula_id, pred.rate, pred.validity_note))
-            elif args.formula == "corrected-free":
-                pred = oracles.corrected_free_decay_rate(res)
-                rows.append((pred.formula_id, pred.rate, pred.validity_note))
-            elif args.formula == "measured-decay":
-                if not _require(args, ("tau-m",)):
-                    return EXIT_CONFIG
-                pred = oracles.measured_decay_rate(res, args.tau_m)
-                rows.append((pred.formula_id, pred.rate, pred.validity_note))
-            elif args.formula == "anti-zeno":
-                if not _require(args, ("tau-m",)):
-                    return EXIT_CONFIG
-                pred = oracles.anti_zeno_rate(res, args.tau_m)
-                note = pred.validity_note or f"half_width*tau_m = {res.half_width * args.tau_m:g}"
-                rows.append((pred.formula_id, pred.rate, note))
-            elif args.formula == "resolvent-root":
-                rows.append(("resolvent population rate", oracles.resolvent_decay_rate(res), ""))
-            elif args.formula == "laplace-root":
-                if not _require(args, ("tau-m",)):
-                    return EXIT_CONFIG
-                rows.append(("laplace-pole population rate",
-                             oracles.laplace_decay_rate(res, args.tau_m), ""))
+        # the band first: a missing --g0/--gamma0 is reported before other flags
+        res = _reservoir_from_args(args) if band else None
+        missing = _missing(args, flags)
+        if missing:
+            raise _MissingFlags(f"missing required parameters: {', '.join(missing)}")
+        table = rows(args, res)
+    except _MissingFlags as exc:
+        print(f"oracle: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, ValueError, ZeroDivisionError) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    for label, value, note in rows:
+    for label, value, note in table:
         suffix = f"   [{note}]" if note else ""
         print(f"{label:32s} {value:.10g}{suffix}")
     return EXIT_OK

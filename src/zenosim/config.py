@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .engine import STEPPERS
 from .models import (
     DetectorMeasurementModel,
     DetectorParams,
@@ -113,8 +114,9 @@ class RunConfig:
             raise ConfigError("t_max must be >= dt")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be >= 1")
-        if self.integrator not in ("euler", "rk4"):
-            raise ConfigError(f"integrator must be 'euler' or 'rk4', got {self.integrator!r}")
+        if self.integrator not in STEPPERS:
+            raise ConfigError(f"integrator must be {' or '.join(map(repr, STEPPERS))}, "
+                              f"got {self.integrator!r}")
         if self.decimation is None:
             n_steps = int(round(self.t_max / self.dt))
             self.decimation = max(1, -(-(n_steps + 1) // MAX_OUTPUT_POINTS))

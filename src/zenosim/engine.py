@@ -130,14 +130,14 @@ def _rk4_step(model, t, dt, c, work):
     return e_c + (dt / 6.0) * (e(k1, dt) + 2.0 * e(k2, half) + 2.0 * e(k3, half) + k4)
 
 
-_STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
+STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
 
 
 def _stepper(model, integrator: str):
     """The no-jump stepper; exact for models whose generator is constant."""
     if model.coupling_derivative is None:
         return _exact_step
-    return _STEPPERS[integrator]
+    return STEPPERS[integrator]
 
 
 def _renormalize(c: np.ndarray) -> np.ndarray:

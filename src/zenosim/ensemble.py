@@ -33,6 +33,10 @@ WORKERS_ENV = "ZENOSIM_WORKERS"
 # 64 rows than in batches of 16.
 BATCH_AMPLITUDES = 2 ** 15
 
+# default_fit_window and block_rate_estimate end a fit where its curve falls
+# to this floor.
+FIT_FLOOR = 0.02
+
 
 class NonPositiveValues(ValueError):
     """Log-linear fit requested on data containing values <= 0."""
@@ -198,18 +202,17 @@ def fit_exponential_rate(times: np.ndarray, values: np.ndarray,
 
 
 def default_fit_window(times: np.ndarray, mean: np.ndarray, std_error: np.ndarray,
-                       t_start: float, noise_floor: float = 0.02,
-                       snr_stop: float = 8.0) -> tuple[float, float]:
+                       t_start: float) -> tuple[float, float]:
     """Fit window skipping the short-time region and the noise-dominated tail.
 
     Starts at t_start; ends just before the first time where
-    mean - 2*std_error drops below max(noise_floor, snr_stop*std_error) (or
-    at the last sample).  The signal-to-noise cutoff keeps the log-linear
+    mean - 2*std_error drops below max(FIT_FLOOR, 8*std_error) (or at the
+    last sample).  The signal-to-noise cutoff keeps the log-linear
     fit conditioned: with a plain absolute floor the tail points carry
     O(1) log-noise at small ensembles and dominate the fitted slope.
     """
     times = np.asarray(times)
-    cutoff = np.maximum(noise_floor, snr_stop * std_error)
+    cutoff = np.maximum(FIT_FLOOR, 8.0 * std_error)
     below = np.nonzero((mean - 2.0 * std_error < cutoff) & (times > t_start))[0]
     t_hi = times[below[0] - 1] if len(below) and below[0] > 0 else times[-1]
     if t_hi <= t_start:
@@ -218,29 +221,27 @@ def default_fit_window(times: np.ndarray, mean: np.ndarray, std_error: np.ndarra
 
 
 def block_rate_estimate(times: np.ndarray, curves: np.ndarray,
-                        window: tuple[float, float], n_blocks: int = 10,
-                        noise_floor: float = 0.02) -> tuple[float, float, np.ndarray]:
+                        window: tuple[float, float]) -> tuple[float, float, np.ndarray]:
     """Rate mean and standard error over disjoint trajectory blocks.
 
     ``curves`` holds one row per trajectory.  The trajectories are split
-    into ``n_blocks`` contiguous blocks; each block-mean curve is fitted on
-    ``window``, truncated where that block's own values reach the noise
-    floor.  The block fits weight each log-point with the inverse of its
-    binomial log-variance (proportional to m/(1-m) for occupation curves,
-    whose per-trajectory variance is m(1-m)), which keeps the noisy tail
-    from dominating the slope.  Returns (mean rate, standard error,
-    per-block rates).
+    into 10 contiguous blocks (one per trajectory below 10, at least 2);
+    each block-mean curve is fitted on ``window``, truncated where that
+    block's own values reach FIT_FLOOR.  The block fits weight each
+    log-point with the inverse of its binomial log-variance (proportional
+    to m/(1-m) for occupation curves, whose per-trajectory variance is
+    m(1-m)), which keeps the noisy tail from dominating the slope.
+    Returns (mean rate, standard error, per-block rates).
     """
     curves = np.asarray(curves)
     n = curves.shape[0]
-    if n < n_blocks:
-        n_blocks = max(2, n)
+    n_blocks = max(2, min(10, n))
     edges = np.linspace(0, n, n_blocks + 1).astype(int)
     rates = []
     for b in range(n_blocks):
         block = curves[edges[b]:edges[b + 1]].mean(axis=0)
         t_lo, t_hi = window
-        usable = (times >= t_lo) & (times <= t_hi) & (block > noise_floor)
+        usable = (times >= t_lo) & (times <= t_hi) & (block > FIT_FLOOR)
         if usable.sum() < 10:
             continue
         weights = np.clip(block, 1e-6, 1 - 1e-3)

@@ -18,16 +18,6 @@ from scipy import integrate
 
 from .models import DriveParams, ReservoirSpec
 
-_FORMULAS = (
-    "golden_rule",
-    "corrected_free",
-    "zeno_two_level",
-    "measured_decay_arctan",
-    "measured_decay_series",
-    "anti_zeno_decay",
-    "lorentzian_overlap",
-)
-
 
 class DomainError(ValueError):
     """Evaluation requested at or beyond a branch point."""
@@ -42,10 +32,6 @@ class RatePrediction:
     rate: float
     formula_id: str
     validity_note: str = ""
-
-    def __post_init__(self):
-        if self.formula_id not in _FORMULAS:
-            raise ValueError(f"unknown formula id {self.formula_id!r}")
 
 
 def measurement_time(gamma: float, lam: float) -> float:
@@ -165,16 +151,6 @@ def measured_decay_rate(res: ReservoirSpec, tau_m: float) -> RatePrediction:
         raise ValueError("measured_decay_rate requires a flat coupling (slope = 0)")
     rate = res.golden_rate() * (2.0 / np.pi) * np.arctan(res.half_width * tau_m)
     return RatePrediction(rate, "measured_decay_arctan", "")
-
-
-def measured_decay_rate_series(res: ReservoirSpec, tau_m: float) -> RatePrediction:
-    """Large-(half_width*tau_m) series of the measured flat-band decay rate."""
-    if tau_m <= 0:
-        raise ValueError("tau_m must be > 0")
-    x = res.half_width * tau_m
-    rate = res.golden_rate() * (1.0 - (2.0 / np.pi) / x)
-    note = "" if x >= 2.0 else f"half_width*tau_m = {x:.3g} < 2; series marginal"
-    return RatePrediction(rate, "measured_decay_series", note)
 
 
 def anti_zeno_rate(res: ReservoirSpec, tau_m: float) -> RatePrediction:
