@@ -26,7 +26,6 @@ from .config import (
     preset,
     preset_names,
 )
-from .engine import STEPPERS
 from .ensemble import default_workers, run_ensemble
 # benchmarks/tracing.py wraps ``build_model`` and ``run_trajectory`` here by
 # name; ``run_trajectory`` stays importable from this module for it.
@@ -48,7 +47,6 @@ def _add_simulate(sub):
     p.add_argument("--t-max", type=float)
     p.add_argument("--n-trajectories", type=int)
     p.add_argument("--seed", type=int, dest="master_seed")
-    p.add_argument("--integrator", choices=tuple(STEPPERS))
     p.add_argument("--decimation", type=int)
     p.add_argument("--observables", type=parse_names, help="comma-separated observable names")
     p.add_argument("--output", default=None, help="output directory (default: out/<target>)")
@@ -58,21 +56,28 @@ def _add_simulate(sub):
     return p
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_oracle(sub):
     p = sub.add_parser("oracle", help="print a closed-form rate prediction")
     p.add_argument("formula", choices=tuple(ORACLES))
-    p.add_argument("--gamma", type=float, help="detector decay rate")
-    p.add_argument("--lambda", type=float, metavar="LAM", help="detector coupling")
-    p.add_argument("--tau-m", type=float, help="measurement time")
-    p.add_argument("--t", type=float, help="time argument")
-    p.add_argument("--omega-r", type=float, help="drive strength")
-    p.add_argument("--detuning", type=float, default=DriveParams.detuning)
-    p.add_argument("--lambda-band", type=float, default=ReservoirSpec.half_width,
+    p.add_argument("--gamma", type=_finite, help="detector decay rate")
+    p.add_argument("--lambda", type=_finite, metavar="LAM", help="detector coupling")
+    p.add_argument("--tau-m", type=_finite, help="measurement time")
+    p.add_argument("--t", type=_finite, help="time argument")
+    p.add_argument("--omega-r", type=_finite, help="drive strength")
+    p.add_argument("--detuning", type=_finite, default=DriveParams.detuning)
+    p.add_argument("--lambda-band", type=_finite, default=ReservoirSpec.half_width,
                    help="reservoir half width")
-    p.add_argument("--gamma0", type=float, help="flat-band golden-rule rate")
-    p.add_argument("--g0", type=float, help="base mode coupling")
+    p.add_argument("--gamma0", type=_finite, help="flat-band golden-rule rate")
+    p.add_argument("--g0", type=_finite, help="base mode coupling")
     p.add_argument("--n-modes", type=int, default=ReservoirSpec.n_modes)
-    p.add_argument("--a", type=float, default=ReservoirSpec.slope,
+    p.add_argument("--a", type=_finite, default=ReservoirSpec.slope,
                    help="coupling slope across the band")
     return p
 
@@ -165,6 +170,8 @@ def _reservoir_from_args(args) -> ReservoirSpec:
     if args.g0 is not None:
         return replace(res, g0=args.g0)
     if args.gamma0 is not None:
+        if args.gamma0 < 0:
+            raise ConfigError(f"--gamma0 must be >= 0, got {args.gamma0}")
         return replace(res, g0=float(np.sqrt(args.gamma0 * res.mode_spacing / (2.0 * np.pi))))
     raise ConfigError("provide --g0 or --gamma0")
 

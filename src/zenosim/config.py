@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import STEPPERS
 from .models import (
     DetectorMeasurementModel,
     DetectorParams,
@@ -36,8 +35,7 @@ MAX_OUTPUT_POINTS = 4000
 # onto the class's fields; the class supplies types and defaults.  [run]
 # holds ``model``, the RunConfig fields of RUN_KEYS and the ModelSpec scalars
 # the model takes.
-RUN_KEYS = ("dt", "t_max", "n_trajectories", "master_seed", "integrator", "observables",
-            "decimation")
+RUN_KEYS = ("dt", "t_max", "n_trajectories", "master_seed", "observables", "decimation")
 SECTIONS = {
     "detector": (DetectorParams, {"gamma": "gamma", "lambda": "lam", "omega_d": "omega_d",
                                   "coupling_target": "coupling_target"}),
@@ -102,21 +100,17 @@ class RunConfig:
     t_max: float = 30.0
     n_trajectories: int = 1000
     master_seed: int = DEFAULT_MASTER_SEED
-    integrator: str = "euler"
     observables: Optional[tuple[str, ...]] = None
     decimation: Optional[int] = None
     initial_amplitudes: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be > 0")
-        if self.t_max < self.dt:
-            raise ConfigError("t_max must be >= dt")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
+        if not (np.isfinite(self.t_max) and self.t_max >= self.dt):
+            raise ConfigError(f"t_max must be finite and >= dt, got {self.t_max}")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be >= 1")
-        if self.integrator not in STEPPERS:
-            raise ConfigError(f"integrator must be {' or '.join(map(repr, STEPPERS))}, "
-                              f"got {self.integrator!r}")
         if self.decimation is None:
             n_steps = int(round(self.t_max / self.dt))
             self.decimation = max(1, -(-(n_steps + 1) // MAX_OUTPUT_POINTS))

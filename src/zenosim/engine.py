@@ -3,17 +3,18 @@
 A batch of n trajectories is one (n, dim) complex array, one row per
 trajectory, advanced together on a uniform grid t_n = n*dt.  Each step first
 evolves every row over dt under the non-Hermitian effective Hamiltonian,
-without renormalizing, to c'.  The model's constant detector generator K is
-applied exactly, as ``expm(K dt)`` computed once per model and dt; only the
-time-dependent rest (the drive or the reservoir coupling) goes through the
-configured integrator, in integrating-factor (Lawson) form.  The collapse
-probability of a row's step is the norm that this no-jump evolution lost,
+without renormalizing, to c'.  A model whose generator is constant in its
+frame (the detector and the driven model) steps exactly: ``propagate``
+applies its cached ``expm(K dt)``.  The band models' reservoir coupling is
+time-dependent and takes a first-order integrating-factor (Lawson-Euler)
+step around the exact detector factor.  The collapse probability of a
+row's step is the norm that this no-jump evolution lost,
 ``p = 1 - |c'|^2`` (Dalibard, Castin & Molmer, PRL 68, 580, 1992; Plenio &
-Knight, Rev. Mod. Phys. 70, 101, 1998).  Every trajectory draws one uniform
-random number ``r`` per step, also when Gamma = 0: if ``p > r`` the jump
-operator collapses that row's c', otherwise c' is renormalized.  A jump is
-recorded at the grid time t_n at which its step began.  Observables are
-recorded after the step, at t_{n+1}; the initial values are recorded at t=0.
+Knight, Rev. Mod. Phys. 70, 101, 1998).  Every trajectory draws one
+uniform random number ``r`` per step, also when Gamma = 0: if ``p > r`` the
+jump operator collapses that row's c', otherwise c' is renormalized.  A
+jump is recorded at the grid time t_n at which its step began.  Observables
+are recorded after the step, at t_{n+1}; the initial values at t=0.
 
 Every operation acts row by row, with a rounding that does not depend on the
 number of rows, so a trajectory's record is bit-identical whether it runs
@@ -98,46 +99,27 @@ class TrajectoryRecord:
     final_observables: dict[str, float] = field(default_factory=dict)
 
 
-# No-jump steppers: ``model.propagate(c, h)`` is the exact factor expm(K h)
-# of the constant generator, ``model.coupling_derivative`` the time-dependent
-# rest; both return unnormalized amplitudes.  A stepper may overwrite ``c``
-# and ``work`` (an array shaped like c) and returns the evolved amplitudes,
-# in one of the two or in a new array.
+# No-jump steppers: ``model.propagate(t, c, h)`` is the exact factor from t
+# to t + h of the generator's constant part, ``model.coupling_derivative``
+# the time-dependent rest; both return unnormalized amplitudes.  A stepper
+# may overwrite ``c`` and ``work`` (an array shaped like c) and returns the
+# evolved amplitudes, in one of the two or in a new array.
 
 
 def _exact_step(model, t, dt, c, work):
-    return model.propagate(c, dt, out=work)
+    return model.propagate(t, c, dt, out=work)
 
 
 def _euler_step(model, t, dt, c, work):
     x = model.coupling_derivative(t, c, out=work)
     x *= dt
     x += c
-    return model.propagate(x, dt, out=c)
+    return model.propagate(t, x, dt, out=c)
 
 
-def _rk4_step(model, t, dt, c, work):
-    # Lawson RK4: classical RK4 in the frame that removes K, mapped back
-    f = model.coupling_derivative
-    e = model.propagate
-    half = 0.5 * dt
-    e_half_c = e(c, half)
-    e_c = e(c, dt)
-    k1 = f(t, c)
-    k2 = f(t + half, e(c + half * k1, half))
-    k3 = f(t + half, e_half_c + half * k2)
-    k4 = f(t + dt, e_c + dt * e(k3, half))
-    return e_c + (dt / 6.0) * (e(k1, dt) + 2.0 * e(k2, half) + 2.0 * e(k3, half) + k4)
-
-
-STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
-
-
-def _stepper(model, integrator: str):
-    """The no-jump stepper; exact for models whose generator is constant."""
-    if model.coupling_derivative is None:
-        return _exact_step
-    return STEPPERS[integrator]
+def _stepper(model):
+    """The no-jump stepper: exact for models whose generator is constant."""
+    return _exact_step if model.coupling_derivative is None else _euler_step
 
 
 def _renormalize(c: np.ndarray) -> np.ndarray:
@@ -227,7 +209,7 @@ def _check_guard(guard: np.ndarray, t: float, streams, warn: bool) -> None:
 def run_batch(model, config, streams) -> TrajectoryBatch:
     """Integrate one stochastic trajectory per stream, all in one batch.
 
-    ``config`` needs dt, t_max, integrator, observables, decimation and an
+    ``config`` needs dt, t_max, observables, decimation and an
     optional initial_amplitudes override.  Trajectory k is fully determined
     by (model, config, streams[k]): the other rows of the batch do not
     change it.
@@ -262,7 +244,7 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
         recs[name][:, 0] = f(c)
 
     gamma_dt = model.gamma * dt
-    stepper = _stepper(model, config.integrator)
+    stepper = _stepper(model)
     generators = [stream.generator() for stream in streams]
     jumps: list[list[float]] = [[] for _ in streams]
     warned = False

@@ -6,12 +6,12 @@ A state is an array ``c`` of complex amplitudes over the model's basis
 * ``initial_amplitudes()`` -- the default initial state,
 * ``derivative(t, c)``     -- action of the non-Hermitian effective
   Hamiltonian, as the time derivative of the amplitude array,
-* ``propagate(c, dt)`` and ``coupling_derivative(t, c)`` -- the same
-  generator split in two: ``propagate`` applies the exact propagator
-  ``expm(K dt)`` of its constant detector part K, and
-  ``coupling_derivative`` is the time-dependent rest (the drive or the
-  reservoir coupling; ``None`` when there is none), which the engine's
-  integrator handles,
+* ``propagate(t, c, dt)`` and ``coupling_derivative(t, c)`` -- the same
+  generator split in two: ``propagate`` applies the exact propagator from
+  t to t + dt of its part that is constant in the model's frame, and
+  ``coupling_derivative`` is the time-dependent rest (the reservoir
+  coupling of the band models; ``None`` when the whole generator is
+  constant, so ``propagate`` alone is the exact no-jump step),
 * ``excited_weight(c)``    -- total probability in the detector-excited
   subspace (the collapse operator is ``sqrt(Gamma) sigma_-`` on the detector,
   so the jump rate is ``Gamma`` times this weight),
@@ -47,9 +47,9 @@ Models
 
 Basis ordering follows (system level, mode index, detector level) with
 ``e`` before ``g`` and ``a`` before ``b``.  Storage is dense; the detector
-part acts through 2x2 blocks per system row, and the drive and the
-reservoir coupling are matrix-free.  The band models evaluate their mode
-phases once per time for the whole batch.
+part acts through 2x2 blocks per system row, and the reservoir coupling is
+matrix-free.  The band models evaluate their mode phases once per time for
+the whole batch.
 """
 
 from __future__ import annotations
@@ -200,11 +200,12 @@ class _MonitoredModel:
     detector levels (a, b): splitting omega_d/2 and decay gamma/2 on every
     row, the coupling lam on the monitored rows, and a constant row phase.
     ``detector_blocks`` holds the block of the excited row and the block of
-    the ground rows.  ``derivative`` is K plus ``coupling_derivative``, the
-    time-dependent rest; ``propagate`` applies ``expm(K dt)``, whose blocks
-    are computed once per step size.  Subclasses say how a pair of blocks
-    acts on their basis (``_operator`` and ``_act``).
+    the ground rows.  ``derivative`` applies K and ``propagate``
+    ``expm(K dt)``, whose blocks are computed once per step size.  Subclasses
+    say how a pair of blocks acts on their basis (``_operator`` and ``_act``).
     """
+
+    coupling_derivative = None
 
     def __init__(self, detector: DetectorParams, excited_phase: complex = 0.0):
         self.detector = detector
@@ -220,9 +221,9 @@ class _MonitoredModel:
         self._factors: dict[float, object] = {}
 
     def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
-        return self._act(self._generator, c) + self.coupling_derivative(t, c)
+        return self._act(self._generator, c)
 
-    def propagate(self, c: np.ndarray, dt: float, out=None) -> np.ndarray:
+    def propagate(self, t: float, c: np.ndarray, dt: float, out=None) -> np.ndarray:
         u = self._factors.get(dt)
         if u is None:
             u = self._factors[dt] = self._operator([expm(k * dt) for k in self.detector_blocks])
@@ -272,8 +273,6 @@ class DetectorMeasurementModel(_FourLevelModel):
     The whole generator is constant, so a no-jump step is exact.
     """
 
-    coupling_derivative = None
-
     def __init__(self, detector: DetectorParams, omega_a: float = 1.0):
         super().__init__(detector, excited_phase=-1j * omega_a)
         self.omega_a = omega_a
@@ -281,9 +280,6 @@ class DetectorMeasurementModel(_FourLevelModel):
     def initial_amplitudes(self) -> np.ndarray:
         # superposition (|e> + |g>)/sqrt(2), detector in its ground level
         return np.array([0, 1, 0, 1], dtype=complex) / np.sqrt(2)
-
-    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
-        return self._act(self._generator, c)
 
     default_observables = ("rho_aa", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im")
 
@@ -294,25 +290,39 @@ class RabiMeasuredModel(_FourLevelModel):
     Basis order: |e,a>, |e,b>, |g,a>, |g,b>.  The drive couples e and g rows
     with the same detector index through (omega_r/2) exp(+/- i detuning t);
     detector sector and coupling as in DetectorMeasurementModel with the
-    system phase absorbed into the picture.  The drive is the
-    time-dependent part of the generator.
+    system phase absorbed into the picture.  In the frame rotating at the
+    detuning, c = p(t) c~ with p = exp(i detuning t) on the e rows, the
+    generator K~ is constant, so the step c -> p(t + dt) expm(K~ dt) p(t)^-1 c
+    is exact; the amplitudes stay in the interaction picture.
     """
 
     def __init__(self, detector: DetectorParams, drive: DriveParams):
         super().__init__(detector)
         self.drive = drive
+        d = 0.5j * drive.omega_r
+        self._rotating = block_diag(*self.detector_blocks) + np.kron(
+            [[-1j * drive.detuning, d], [d, 0]], np.eye(2))
 
     def initial_amplitudes(self) -> np.ndarray:
         # system in the ground level, detector in its ground level
         return np.array([0, 0, 0, 1], dtype=complex)
 
-    def coupling_derivative(self, t: float, c: np.ndarray, out=None) -> np.ndarray:
+    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
         half_wr = 0.5j * self.drive.omega_r
         ph = cmath.exp(1j * self.drive.detuning * t)
-        out = _new_out(c, out)
-        np.multiply(c[..., 2:], half_wr * ph, out=out[..., :2])   # e rows: + detuning phase
-        np.multiply(c[..., :2], half_wr / ph, out=out[..., 2:])
+        out = self._act(self._generator, c)
+        out[..., :2] += (half_wr * ph) * c[..., 2:]     # e rows: + detuning phase
+        out[..., 2:] += (half_wr / ph) * c[..., :2]
         return out
+
+    def propagate(self, t: float, c: np.ndarray, dt: float, out=None) -> np.ndarray:
+        u = self._factors.get(dt)
+        if u is None:
+            u = self._factors[dt] = np.ascontiguousarray(expm(self._rotating * dt).T)
+        # p(t)^-1 on the rows of the transposed factor, p(t + dt) on its columns
+        p, q = (cmath.exp(1j * self.drive.detuning * s) for s in (t, t + dt))
+        frame = np.array([[q / p, q / p, 1 / p, 1 / p]] * 2 + [[q, q, 1, 1]] * 2)
+        return self._act(u * frame, c, out)
 
     default_observables = ("rho_gg", "rho_ee", "rho_aa")
 
@@ -424,7 +434,7 @@ class FreeDecayModel:
     def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
         return self.coupling_derivative(t, c)
 
-    def propagate(self, c: np.ndarray, dt: float, out=None) -> np.ndarray:
+    def propagate(self, t: float, c: np.ndarray, dt: float, out=None) -> np.ndarray:
         if out is None:
             return c.copy()
         np.copyto(out, c)
@@ -494,6 +504,9 @@ class MeasuredDecayModel(_MonitoredModel):
         for d in (0, 1):    # the coupling keeps the detector level
             self._band.apply(t, c[..., d], c[..., 2 + d::2], out[..., d], out[..., 2 + d::2])
         return out
+
+    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
+        return super().derivative(t, c) + self.coupling_derivative(t, c)
 
     def excited_weight(self, c: np.ndarray) -> np.ndarray:
         return _weight(c[..., 0::2])

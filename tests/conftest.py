@@ -14,22 +14,24 @@ def acceptance_runs():
 
 _DET = DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0)
 _DET_EXC = DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0, coupling_target="excited")
-_DRIVE = DriveParams(omega_r=0.5, detuning=0.2)
+_RESONANT = DriveParams(omega_r=0.5)
+_DETUNED = DriveParams(omega_r=0.5, detuning=0.2)
 _BAND = ReservoirSpec(n_modes=101, half_width=0.5, g0=0.01)
 
-# Every model and integrator, small enough to run in batches of every size.
-# Twelve trajectories each; every case but the detector-free one jumps.
+# Every model, and the driven one on and off resonance, small enough to run
+# in batches of every size.  Twelve trajectories each; every case but the
+# detector-free one jumps.
 BATCH_CASES = {
     "detector": RunConfig(ModelSpec("detector", detector=_DET), dt=0.1, t_max=20.0,
                           n_trajectories=12,
                           observables=("rho_aa", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im")),
-    "rabi-euler": RunConfig(ModelSpec("rabi", detector=_DET, drive=_DRIVE), dt=0.1, t_max=20.0,
-                            n_trajectories=12, integrator="euler",
-                            observables=("rho_gg", "rho_ee", "rho_aa")),
+    "rabi-resonant": RunConfig(ModelSpec("rabi", detector=_DET, drive=_RESONANT), dt=0.1,
+                               t_max=20.0, n_trajectories=12,
+                               observables=("rho_gg", "rho_ee", "rho_aa")),
     # decimation 3 over 200 steps: the final values are not the last record
-    "rabi-rk4": RunConfig(ModelSpec("rabi", detector=_DET, drive=_DRIVE), dt=0.1, t_max=20.0,
-                          n_trajectories=12, integrator="rk4", decimation=3,
-                          observables=("rho_gg", "rho_eg_re", "rho_eg_im")),
+    "rabi-detuned": RunConfig(ModelSpec("rabi", detector=_DET, drive=_DETUNED), dt=0.1,
+                              t_max=20.0, n_trajectories=12, decimation=3,
+                              observables=("rho_gg", "rho_eg_re", "rho_eg_im")),
     "freedecay": RunConfig(ModelSpec("freedecay", reservoir=_BAND), dt=0.1, t_max=20.0,
                            n_trajectories=12, observables=("rho_ee", "rho_gg")),
     "measureddecay-ground": RunConfig(ModelSpec("measureddecay", reservoir=_BAND, detector=_DET),
@@ -44,7 +46,7 @@ BATCH_CASES = {
 
 @pytest.fixture(params=sorted(BATCH_CASES))
 def batch_case(request):
-    """(name, RunConfig) of one model/integrator case."""
+    """(name, RunConfig) of one batch case."""
     return request.param, BATCH_CASES[request.param]
 
 

@@ -91,7 +91,6 @@ dt = 0.05
 t_max = 40
 n_trajectories = 12
 master_seed = 99
-integrator = rk4
 observables = rho_gg, rho_ee
 
 [detector]
@@ -108,7 +107,6 @@ detuning = 0.1
         assert cfg.dt == 0.05
         assert cfg.n_trajectories == 12
         assert cfg.master_seed == 99
-        assert cfg.integrator == "rk4"
         assert cfg.observables == ("rho_gg", "rho_ee")
         assert cfg.model.detector.gamma == 8.0
         assert cfg.model.detector.lam == 0.5
@@ -116,7 +114,8 @@ detuning = 0.1
 
     def test_unknown_key_rejected_with_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        for key in ("wibble = 3", "output_path = elsewhere"):
+        # a removed [run] key (integrator) is rejected like any unknown one
+        for key in ("wibble = 3", "output_path = elsewhere", "integrator = rk4"):
             path.write_text(f"[run]\nmodel = detector\n{key}\n\n[detector]\ngamma = 10\n")
             with pytest.raises(ConfigError) as err:
                 load_config_file(str(path))
@@ -288,6 +287,27 @@ class TestCli:
         assert [float(line[33:].split()[0]) for line in lines] == \
             pytest.approx(expected, rel=1e-9, abs=1e-15)
 
+    @pytest.mark.parametrize("argv", [
+        "oracle golden --gamma0 -0.01",
+        "oracle zeno-rate --omega-r 0.1 --tau-m 1e400",
+        "oracle measured-decay --gamma0 0.01 --tau-m nan",
+        "oracle tau_m --gamma 10 --lambda nan",
+        "simulate fig1 --dt nan",
+        "simulate fig1 --t-max inf",
+    ], ids=["negative-gamma0", "infinite-tau-m", "nan-tau-m", "nan-lambda", "nan-dt",
+            "infinite-t-max"])
+    def test_nonfinite_or_negative_number_exit_2(self, argv, tmp_path, capsys):
+        if argv.startswith("simulate"):
+            argv += f" --output {tmp_path / 'run'}"
+        try:
+            code = cli.main(argv.split())
+        except SystemExit as exc:   # rejected by the argument parser
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+
     def test_oracle_missing_tau_m_exit_2(self, capsys):
         code = cli.main(["oracle", "laplace-root", "--gamma0", "0.01"])
         assert code == 2
@@ -367,20 +387,22 @@ class TestCli:
         assert sum(phases.values()) <= manifest["wall_time_s"]
 
     def test_per_trajectory_csv_matches_replay(self, tmp_path):
-        out = tmp_path / "run"
-        code = cli.main(["simulate", "fig2", "--output", str(out), "--per-trajectory",
-                         "--t-max", "10", "--n-trajectories", "5", "--workers", "2"])
-        assert code == 0
-        cfg = preset("fig2").with_overrides(t_max=10.0, n_trajectories=5)
-        model = build_model(cfg.model)
-        jumps = 0
-        for i in range(5):
-            rec = run_trajectory(model, cfg, RngStream(cfg.master_seed, i))
-            jumps += len(rec.jumps)
-            write_trajectory_csv(tmp_path / "replay.csv", rec)
-            assert ((out / f"trajectory_{i:04d}.csv").read_bytes()
-                    == (tmp_path / "replay.csv").read_bytes())
-        assert jumps > 0
+        # the detector model, and the detuned drive's time-dependent frame
+        for target, t_max in (("fig2", 10.0), ("fig6", 2.0)):
+            out = tmp_path / target
+            code = cli.main(["simulate", target, "--output", str(out), "--per-trajectory",
+                             "--t-max", str(t_max), "--n-trajectories", "5", "--workers", "2"])
+            assert code == 0
+            cfg = preset(target).with_overrides(t_max=t_max, n_trajectories=5)
+            model = build_model(cfg.model)
+            jumps = 0
+            for i in range(5):
+                rec = run_trajectory(model, cfg, RngStream(cfg.master_seed, i))
+                jumps += len(rec.jumps)
+                write_trajectory_csv(tmp_path / "replay.csv", rec)
+                assert ((out / f"trajectory_{i:04d}.csv").read_bytes()
+                        == (tmp_path / "replay.csv").read_bytes())
+            assert jumps > 0
 
     def test_simulate_config_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -20,7 +20,9 @@ from zenosim.models import (
     DetectorMeasurementModel,
     DetectorParams,
     DriveParams,
+    FreeDecayModel,
     RabiMeasuredModel,
+    ReservoirSpec,
     _weight,
 )
 
@@ -29,10 +31,10 @@ def detector_model(**kw):
     return DetectorMeasurementModel(DetectorParams(**kw))
 
 
-def no_jump_step(model, c, t, dt, integrator="euler"):
+def no_jump_step(model, c, t, dt):
     """One renormalized no-jump step of the engine's stepper on a (1, dim) row."""
     row = np.array(c, dtype=complex).reshape(1, -1)
-    step = engine._stepper(model, integrator)
+    step = engine._stepper(model)
     return _renormalize(step(model, t, dt, row, np.empty_like(row))[0])
 
 
@@ -144,21 +146,40 @@ class TestExactDetectorFactor:
         out = no_jump_step(m, c, 0.0, 0.1)
         np.testing.assert_allclose(out, exact / np.linalg.norm(exact), rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("integrator,order", [("euler", 1), ("rk4", 4)])
-    def test_drive_convergence_order(self, integrator, order):
-        # on resonance the driven generator is constant, so expm is exact
+    @pytest.mark.parametrize("detuning", [0.0, 0.2])
+    def test_drive_step_is_exact_propagator(self, detuning):
+        # in the frame rotating at the detuning (c_e = exp(i detuning t) c~_e)
+        # the generator is constant: at t = 0 it is the interaction-picture
+        # one with the excited rows shifted by -i detuning
         m = RabiMeasuredModel(DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0),
-                              DriveParams(omega_r=0.1))
+                              DriveParams(omega_r=0.1, detuning=detuning))
+        rotating = generator_matrix(m) - 1j * detuning * np.diag([1, 1, 0, 0])
         c = m.initial_amplitudes()
-        exact = expm(generator_matrix(m) * 2.0) @ c
+        exact = expm(rotating * 2.0) @ c
+        exact[:2] *= np.exp(2j * detuning)
         exact /= np.linalg.norm(exact)
+        s = c
+        for k in range(20):
+            s = no_jump_step(m, s, k * 0.1, 0.1)
+        np.testing.assert_allclose(s, exact, rtol=0, atol=1e-14)
+
+    def test_band_euler_order_one(self):
+        # the band coupling's Lawson-Euler step, against the static
+        # Hamiltonian's exact propagator mapped to the interaction picture
+        band = ReservoirSpec(n_modes=5, half_width=0.5, g0=0.05)
+        m = FreeDecayModel(band)
+        d = band.mode_detunings()
+        h = np.diag(np.concatenate([[0.0], -d])).astype(complex)
+        h[0, 1:] = h[1:, 0] = band.mode_couplings()
+        exact = expm(-2.0j * h) @ m.initial_amplitudes()
+        exact[1:] *= np.exp(-2.0j * d)
         errors = []
         for dt in (0.1, 0.05):
-            s = c
+            s = m.initial_amplitudes()
             for k in range(int(round(2.0 / dt))):
-                s = no_jump_step(m, s, k * dt, dt, integrator=integrator)
+                s = no_jump_step(m, s, k * dt, dt)
             errors.append(np.max(np.abs(s - exact)))
-        assert errors[0] / errors[1] == pytest.approx(2.0 ** order, rel=0.1)
+        assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.1)
 
     def test_records_do_not_depend_on_omega_a(self):
         names = ("rho_aa", "rho_ee", "rho_gg")
@@ -169,7 +190,7 @@ class TestExactDetectorFactor:
                 spec = ModelSpec("detector", detector=DetectorParams(gamma=10.0, lam=1.0),
                                  omega_a=omega_a)
                 cfg = RunConfig(spec, dt=0.1, t_max=30.0, n_trajectories=1,
-                                integrator="euler", observables=names)
+                                observables=names)
                 recs.append(run_trajectory(build_model(spec), cfg,
                                            RngStream(DEFAULT_MASTER_SEED, sid)))
             first = recs[0]
@@ -276,13 +297,6 @@ class TestRunTrajectory:
         cfg = preset("fig2").with_overrides(n_trajectories=1, observables=("nope",))
         with pytest.raises(KeyError):
             run_trajectory(build_model(cfg.model), cfg, RngStream(1, 0))
-
-    def test_rk4_option(self):
-        cfg = preset("fig2").with_overrides(n_trajectories=1, t_max=10.0,
-                                            integrator="rk4")
-        model = build_model(cfg.model)
-        rec = run_trajectory(model, cfg, RngStream(9, 1))
-        assert np.isfinite(rec.observables["rho_aa"]).all()
 
 
 class TestBatchInvariance:

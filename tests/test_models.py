@@ -272,7 +272,6 @@ class TestFrequencyShiftInvariance:
         for omega_a in (1.0, 3.7):
             spec = ModelSpec("detector", detector=DetectorParams(), omega_a=omega_a)
             cfg = RunConfig(spec, dt=0.01, t_max=5.0, n_trajectories=1,
-                            integrator="rk4",
                             observables=("rho_aa", "rho_ee", "rho_eg_re", "rho_eg_im"))
             from zenosim.config import build_model
             rec = run_trajectory(build_model(spec), cfg, RngStream(5, 0))

@@ -266,6 +266,15 @@ class TestLaplaceResidual:
                                                          epsrel=1e-8)
         assert abs(f_plus - f_minus) <= 1e-3
 
+    def test_quadrature_failure_raises(self, monkeypatch):
+        # an integral whose reported error exceeds the budget is not returned
+        def quad(f, lo, hi, **kw):
+            return 0.0, 1.0, {}
+
+        monkeypatch.setattr(oracles.integrate, "quad", quad)
+        with pytest.raises(oracles.QuadratureFailure, match="above budget"):
+            oracles.laplace_rate_equation_residual(0.01, exact_band(), 5.0)
+
     def test_domain_guard(self):
         with pytest.raises(oracles.DomainError):
             oracles.laplace_rate_equation_residual(-0.3, exact_band(), 5.0)
