@@ -18,8 +18,7 @@ computes the verdict from the same numbers, so the two cannot disagree.
 Pointwise band checks compare curves as |difference| <= 5 * stderr +
 NUMERIC_FLOOR.  The additive floor (0.01 on probability-scale curves)
 covers grid points where all trajectories still coincide: stderr is
-exactly zero there, while the first-order integration of the reservoir
-coupling and the closed-form approximations differ from the
+exactly zero there, while the closed-form approximations differ from the
 exact dynamics at the 1e-3..1e-2 level.  Where a closed-form rate
 approximation is compared pointwise, the comparison additionally starts
 only once the formula itself agrees with the exact master equation to
@@ -53,7 +52,7 @@ from .ensemble import (
     fit_exponential_rate,
     run_ensemble,
 )
-from .models import DetectorParams, DriveParams, ReservoirSpec
+from .models import DetectorParams, DriveParams
 
 NUMERIC_FLOOR = 0.01
 # every preset with a detector uses the default gamma and lam
@@ -479,21 +478,18 @@ def criterion_engine_properties(runs, res):
                   1e-12, expected=0.0)
     res.absolute("no jumps without detector excitation", len(rec.jumps), 0.0, 0.0)
 
-    # the band coupling's Lawson-Euler step converges at first order: a small
-    # free-decay band against the exact diagonalization of its static H
-    band = ReservoirSpec(n_modes=21, half_width=0.5, g0=0.02, slope=2.0)
+    # the band on its chain, cut to the run's horizon, is exact: fig8's free
+    # decay against the exact diagonalization of the 1001-mode star H
+    cfg = preset("fig8").with_overrides(master_seed=runs.master_seed)
+    band = cfg.model.reservoir
     h = np.diag(np.concatenate([[0.0], -band.mode_detunings()]))
     h[0, 1:] = h[1:, 0] = band.mode_couplings()
     energies, vectors = np.linalg.eigh(h)
-    spec = ModelSpec("freedecay", reservoir=band)
-    errors = []
-    for dt_run in (0.1, 0.05):
-        cfg = RunConfig(spec, dt=dt_run, t_max=60.0, n_trajectories=1, observables=("rho_ee",))
-        rec = run_trajectory(build_model(spec), cfg, RngStream(1, 0))
-        c_e = np.exp(-1j * np.outer(rec.times, energies)) @ vectors[0] ** 2
-        errors.append(np.max(np.abs(rec.observables["rho_ee"] - np.abs(c_e) ** 2)))
-    res.within("euler band population error halves with dt", errors[0] / errors[1],
-               2.0, 1.5, 2.6)
+    rec = run_trajectory(build_model(cfg.model), cfg, RngStream(cfg.master_seed, 0))
+    c_e = np.exp(-1j * np.outer(rec.times, energies)) @ vectors[0] ** 2
+    res.bound("chain free decay vs star diagonalization (fig8 band)",
+              np.max(np.abs(rec.observables["rho_ee"] - np.abs(c_e) ** 2)), "<=", 1e-12,
+              expected=0.0)
 
     # Bernoulli statistics of the jump decision rule, within 4 standard errors
     p = 0.0375

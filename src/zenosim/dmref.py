@@ -8,9 +8,9 @@ whole package.
 
 Every reference here has a constant linear generator L, so its RK4 step is
 the degree-4 Taylor polynomial of exp(dt L), applied in Horner form by
-``_rk4``.  The 4-level master equation and the detector's reduced equations
-are small: RK4 applied to the identity gives their step matrix once, and
-each step (or each recorded point, for a power of it) is a single matvec.
+``_rk4``.  The 4-level master equation is small: RK4 applied to the
+identity gives its step matrix once, and each recorded point (a power of
+it) is a single matvec.
 The band density matrix is large but its Hamiltonian is arrowhead shaped
 (a diagonal plus row and column 0), so its commutator costs O(n^2) and RK4
 is applied to rho itself.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import DetectorParams, ReservoirSpec
+from .models import ReservoirSpec
 from .config import ModelSpec, build_model
 
 HERMITICITY_TOL = 1e-8
@@ -170,32 +170,6 @@ def four_level_populations(rhos: np.ndarray) -> dict[str, np.ndarray]:
         "rho_eg_re": rho_eg.real,
         "rho_eg_im": rho_eg.imag,
     }
-
-
-def detector_reduced_odes(t_max: float, dt: float, params: DetectorParams):
-    """Detector matrix elements evolved by the coherence-sector generator.
-
-    This is the non-trace-preserving evolution whose trace gives the factor
-    multiplying the monitored system's off-diagonal element.  Starts from
-    the detector ground state.  Returns (times, rho_aa, rho_bb, rho_ab,
-    rho_ba) as complex arrays.
-    """
-    gamma, lam, omega_d = params.gamma, params.lam, params.omega_d
-    # d/dt (aa, bb, ab, ba)
-    generator = np.array([
-        [-gamma, 0, 1j * lam, 0],
-        [gamma, 0, 0, 1j * lam],
-        [1j * lam, 0, -1j * omega_d - 0.5 * gamma, 0],
-        [0, 1j * lam, 0, 1j * omega_d - 0.5 * gamma],
-    ], dtype=complex)
-    step = _step_matrix(generator, dt)
-    n_steps = int(round(t_max / dt))
-    out = np.empty((n_steps + 1, 4), dtype=complex)
-    out[0] = (0, 1, 0, 0)
-    for i in range(n_steps):
-        out[i + 1] = step @ out[i]
-    times = np.arange(n_steps + 1) * dt
-    return times, out[:, 0], out[:, 1], out[:, 2], out[:, 3]
 
 
 def _arrowhead_generator(d: np.ndarray, g: np.ndarray, damp: np.ndarray):

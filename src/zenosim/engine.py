@@ -3,12 +3,11 @@
 A batch of n trajectories is one (n, dim) complex array, one row per
 trajectory, advanced together on a uniform grid t_n = n*dt.  Each step first
 evolves every row over dt under the non-Hermitian effective Hamiltonian,
-without renormalizing, to c'.  A model whose generator is constant in its
-frame (the detector and the driven model) steps exactly: ``propagate``
-applies its cached ``expm(K dt)``.  The band models' reservoir coupling is
-time-dependent and takes a first-order integrating-factor (Lawson-Euler)
-step around the exact detector factor.  The collapse probability of a
-row's step is the norm that this no-jump evolution lost,
+without renormalizing, to c'.  Every model's generator is constant in its
+frame, so ``model.propagate`` steps exactly, with its cached
+``expm(K dt)``; a band model first shortens its chain to the run's horizon
+(``model.for_horizon``).  The collapse probability of a row's step is the
+norm that this no-jump evolution lost,
 ``p = 1 - |c'|^2`` (Dalibard, Castin & Molmer, PRL 68, 580, 1992; Plenio &
 Knight, Rev. Mod. Phys. 70, 101, 1998).  Every trajectory draws one
 uniform random number ``r`` per step, also when Gamma = 0: if ``p > r`` the
@@ -25,8 +24,8 @@ The rule allows one jump per step, so ``Gamma * dt * excited_weight`` on the
 state at the start of the step serves as the step-size guard: above 0.1 it
 warns (JumpProbabilityWarning, once per batch), above 1 it raises
 ProbabilityOverflow.  That error, and ZeroNorm for a state whose norm
-underflows, name the master seed and the trajectory, so the failure can be
-replayed alone.
+underflows or is not a number, name the master seed and the trajectory, so
+the failure can be replayed alone.
 
 Randomness comes from a counter-based Philox generator keyed by
 ``(master_seed, stream_id)`` (Salmon et al., SC'11), so any (seed,
@@ -51,7 +50,7 @@ ZERO_NORM_THRESHOLD = 1e-300
 
 class ZeroNorm(ValueError):
     """Raised when a state's squared norm is too small to renormalize (at or
-    below ZERO_NORM_THRESHOLD).
+    below ZERO_NORM_THRESHOLD) or is not a number.
 
     Signals a numerically dead trajectory, e.g. a collapse applied to a state
     with no weight in the collapsed subspace.
@@ -99,33 +98,10 @@ class TrajectoryRecord:
     final_observables: dict[str, float] = field(default_factory=dict)
 
 
-# No-jump steppers: ``model.propagate(t, c, h)`` is the exact factor from t
-# to t + h of the generator's constant part, ``model.coupling_derivative``
-# the time-dependent rest; both return unnormalized amplitudes.  A stepper
-# may overwrite ``c`` and ``work`` (an array shaped like c) and returns the
-# evolved amplitudes, in one of the two or in a new array.
-
-
-def _exact_step(model, t, dt, c, work):
-    return model.propagate(t, c, dt, out=work)
-
-
-def _euler_step(model, t, dt, c, work):
-    x = model.coupling_derivative(t, c, out=work)
-    x *= dt
-    x += c
-    return model.propagate(t, x, dt, out=c)
-
-
-def _stepper(model):
-    """The no-jump stepper: exact for models whose generator is constant."""
-    return _exact_step if model.coupling_derivative is None else _euler_step
-
-
 def _renormalize(c: np.ndarray) -> np.ndarray:
     """``c`` scaled to unit norm by a positive real, so its phase is kept."""
     n2 = _weight(c)
-    if n2 <= ZERO_NORM_THRESHOLD:
+    if not n2 > ZERO_NORM_THRESHOLD:
         raise ZeroNorm(f"state norm underflowed ({n2})")
     return c / np.sqrt(n2)
 
@@ -228,6 +204,7 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
     if n < 1:
         raise ValueError("a batch needs at least one stream")
 
+    model = model.for_horizon(config.t_max)
     names = tuple(config.observables) if config.observables else model.default_observables
     obs_funcs = model.observables()
     unknown = [name for name in names if name not in obs_funcs]
@@ -244,7 +221,6 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
         recs[name][:, 0] = f(c)
 
     gamma_dt = model.gamma * dt
-    stepper = _stepper(model)
     generators = [stream.generator() for stream in streams]
     jumps: list[list[float]] = [[] for _ in streams]
     warned = False
@@ -261,12 +237,9 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
             if gamma_dt * w.max() > JUMP_PROBABILITY_WARN:
                 _check_guard(gamma_dt * w, t, streams, warn=not warned)
                 warned = True
-        evolved = stepper(model, t, dt, c, work)
-        if evolved is work:
-            work = c
-        c = evolved
+        c, work = model.propagate(t, c, dt, out=work), c
         n2 = _weight(c)
-        if n2.min() <= ZERO_NORM_THRESHOLD:
+        if not n2.min() > ZERO_NORM_THRESHOLD:
             # (a collapse of such a row could only leave a smaller norm)
             k = int(np.argmin(n2))
             raise ZeroNorm(f"state norm underflowed ({n2[k]}) at t={t} "
@@ -280,7 +253,7 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
         if len(jumped):
             post = model.collapse_amplitudes(c[jumped])
             m2 = _weight(post)
-            if m2.min() <= ZERO_NORM_THRESHOLD:
+            if not m2.min() > ZERO_NORM_THRESHOLD:
                 k = jumped[np.argmin(m2)]
                 raise ZeroNorm(f"collapsed state norm underflowed at t={t} "
                                f"{_trajectory(streams[k])}")

@@ -27,11 +27,14 @@ from .engine import run_trajectory  # noqa: F401
 
 WORKERS_ENV = "ZENOSIM_WORKERS"
 
-# Amplitudes per batch (rows x model dimension).  About half a megabyte per
-# state array keeps a batch in cache: on a 2-vCPU x86-64 VM the
-# 2004-amplitude band model ran 30% slower per trajectory-step in batches of
-# 64 rows than in batches of 16.
-BATCH_AMPLITUDES = 2 ** 15
+# Amplitudes per batch (rows x model dimension).  Past a few tens of rows
+# a band model's step costs about the same per row (fig10 at dim 206, one
+# process on a 2-vCPU x86-64 VM, two rounds: 30-41, 26-43, 26-32 and 27-32
+# ms per trajectory in batches of 16, 39, 64 and 159 rows), so its batches
+# stay small enough to share the trajectories out evenly among the workers:
+# 39 rows.  A 4-level model's batch is one worker's share of the
+# trajectories.
+BATCH_AMPLITUDES = 2 ** 13
 
 # default_fit_window and block_rate_estimate end a fit where its curve falls
 # to this floor.
@@ -121,7 +124,8 @@ def run_ensemble(config: RunConfig, workers: Optional[int] = None,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, n)
-    model = build_model(config.model)
+    # a band model on the chain this run steps, whose dimension sizes the batches
+    model = build_model(config.model).for_horizon(config.t_max)
     size = max(1, min(BATCH_AMPLITUDES // model.dim, -(-n // workers)))
     ranges = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 

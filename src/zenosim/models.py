@@ -4,25 +4,25 @@ A state is an array ``c`` of complex amplitudes over the model's basis
 (ordered as below).  Each model supplies:
 
 * ``initial_amplitudes()`` -- the default initial state,
-* ``derivative(t, c)``     -- action of the non-Hermitian effective
-  Hamiltonian, as the time derivative of the amplitude array,
-* ``propagate(t, c, dt)`` and ``coupling_derivative(t, c)`` -- the same
-  generator split in two: ``propagate`` applies the exact propagator from
-  t to t + dt of its part that is constant in the model's frame, and
-  ``coupling_derivative`` is the time-dependent rest (the reservoir
-  coupling of the band models; ``None`` when the whole generator is
-  constant, so ``propagate`` alone is the exact no-jump step),
+* ``propagate(t, c, dt)``  -- the exact no-jump step from t to t + dt:
+  every model's non-Hermitian effective generator K is constant in its
+  frame, so the step is one cached ``expm(K dt)`` (between two phase maps
+  for the driven model, whose frame rotates),
+* ``derivative(t, c)``     -- the action of the generator at time t, as
+  the time derivative of the amplitude array,
 * ``excited_weight(c)``    -- total probability in the detector-excited
   subspace (the collapse operator is ``sqrt(Gamma) sigma_-`` on the detector,
   so the jump rate is ``Gamma`` times this weight),
 * ``collapse_amplitudes(c)`` -- the unnormalized post-jump amplitudes,
+* ``for_horizon(t_max)``   -- the model that a run up to ``t_max`` steps
+  (the band models shorten their chain to it),
 * named observables used for recording.
 
 All that take ``c`` act on its last axis: ``c`` is one state of shape
 (dim,) or a batch of shape (n, dim), one trajectory per row, and each row's
 result is computed on its own, with a rounding that does not depend on n.
-``propagate`` and ``coupling_derivative`` write into a preallocated ``out``
-array when given one (it must not overlap ``c``).
+``propagate`` writes into a preallocated ``out`` array when given one (it
+must not overlap ``c``).
 
 Models
 ------
@@ -37,29 +37,40 @@ Models
     The same monitored system driven by a classical field (rotating-wave
     coupling ``omega_r``, detuning ``detuning``), written in the interaction
     picture so the drive carries explicit ``exp(+/- i detuning t)`` phases.
-``FreeDecayModel``
-    Excited two-level system coupled to a band of discretized reservoir
-    modes; single-excitation sector, interaction picture, no detector and
-    hence no jumps.
 ``MeasuredDecayModel``
-    The decaying system of ``FreeDecayModel`` with the detector attached to
-    the ground level (or to the excited level, via ``coupling_target``).
+    Excited two-level system coupled to a band of discretized reservoir
+    modes, single-excitation sector, with the detector attached to the
+    ground level (or to the excited level, via ``coupling_target``).  The
+    band enters as its Lanczos chain (``ReservoirSpec.chain``), in the frame
+    rotating at omega_a.  The jump operator and every observable act on the
+    system and the detector only, so this unitary change of the mode basis
+    changes no record, and a chain as long as a run's horizon needs
+    (``ReservoirSpec.chain_sites``) is exact over that run.
+``FreeDecayModel``
+    The undetected case of ``MeasuredDecayModel``: a null detector, so the
+    state stays in the detector's b level and never jumps.
 
-Basis ordering follows (system level, mode index, detector level) with
-``e`` before ``g`` and ``a`` before ``b``.  Storage is dense; the detector
-part acts through 2x2 blocks per system row, and the reservoir coupling is
-matrix-free.  The band models evaluate their mode phases once per time for
-the whole batch.
+Basis ordering follows (system level, mode or chain site, detector level)
+with ``e`` before ``g`` and ``a`` before ``b``.  States are stored densely;
+the band models keep their step operators as bands of diagonals
+(``_band``).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.linalg import block_diag, expm
+
+
+def _require_finite(params, *names) -> None:
+    bad = [name for name in names if not np.isfinite(getattr(params, name))]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be finite")
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,7 @@ class DetectorParams:
     coupling_target: str = "ground"
 
     def __post_init__(self):
+        _require_finite(self, "gamma", "lam", "omega_d")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         if self.lam < 0:
@@ -94,6 +106,7 @@ class DriveParams:
     detuning: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "omega_r", "detuning")
         if self.omega_r < 0:
             raise ValueError("omega_r must be >= 0")
 
@@ -117,6 +130,7 @@ class ReservoirSpec:
     omega_a: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, "half_width", "g0", "slope", "omega_a")
         if self.n_modes < 2:
             raise ValueError("n_modes must be >= 2")
         if self.half_width <= 0:
@@ -130,10 +144,6 @@ class ReservoirSpec:
     def density_of_states(self) -> float:
         return 1.0 / self.mode_spacing
 
-    def mode_frequencies(self) -> np.ndarray:
-        k = np.arange(self.n_modes)
-        return self.omega_a - self.half_width + k * self.mode_spacing
-
     def mode_detunings(self) -> np.ndarray:
         """omega_a - omega_k, computed without touching omega_a.
 
@@ -143,11 +153,55 @@ class ReservoirSpec:
         """
         return self.half_width - np.arange(self.n_modes) * self.mode_spacing
 
-    def coupling(self, omega) -> np.ndarray:
-        return self.g0 * (1.0 + (self.slope / self.half_width) * (np.asarray(omega) - self.omega_a))
-
     def mode_couplings(self) -> np.ndarray:
         return self.g0 * (1.0 - (self.slope / self.half_width) * self.mode_detunings())
+
+    def chain_sites(self, t_max: float | None = None) -> int:
+        """Length of the Lanczos chain (``chain``) that is exact up to
+        ``t_max``: every one of the n_modes sites without a horizon.
+
+        The chain's hopping tends to half_width/2, so an excitation moves
+        along it at most half_width sites per unit time, and a chain cut
+        after L sites is exact until the front comes back from its end.  On
+        a uniform chain the amplitude coming back at time t is J_2L(x), a
+        Bessel function of x = half_width t, and the front's width grows as
+        x^(1/3); L = x/2 + 5 x^(1/3) keeps J_2L(x) below 1e-13 at every x.
+        """
+        if t_max is None:
+            return self.n_modes
+        x = self.half_width * t_max
+        return min(self.n_modes, int(np.ceil(x / 2 + 5 * x ** (1 / 3))))
+
+    def chain(self, sites: int) -> np.ndarray:
+        """The system and the first ``sites`` sites of the band's Lanczos
+        chain, as a real symmetric tridiagonal Hamiltonian (system in row 0)
+        in the frame rotating at omega_a.
+
+        Site j is the j-th Lanczos vector of the mode energies -d_k started
+        from the couplings g_k, orthogonalized twice against all earlier
+        ones (full reorthogonalization), so the system couples to site 0
+        alone, with |g|, and each site to its neighbours (Chin, Rivas, Huelga
+        & Plenio, J. Math. Phys. 51, 092109, 2010).  The moments
+        sum_k g_k^2 (-d_k)^m for m < 2 * sites are the band's.  It is built
+        from the detunings, so it does not depend on omega_a.  Sites beyond
+        the band's Krylov space (all of them for g0 = 0) stay uncoupled.
+        """
+        energies = -self.mode_detunings()
+        h = np.zeros((sites + 1, sites + 1))
+        basis = np.zeros((sites, self.n_modes))
+        w = self.mode_couplings()
+        hop = np.linalg.norm(w)
+        for j in range(sites):
+            if hop == 0.0:
+                break
+            h[j, j + 1] = h[j + 1, j] = hop
+            basis[j] = w / hop
+            w = energies * basis[j]
+            h[j + 1, j + 1] = basis[j] @ w
+            for _ in range(2):
+                w -= (basis[:j + 1] @ w) @ basis[:j + 1]
+            hop = np.linalg.norm(w)
+        return h
 
     def golden_rate(self) -> float:
         """Lowest-order decay rate into the band, 2 pi rho0 g0^2."""
@@ -179,6 +233,33 @@ def _detector_phase_rates(omega_d: float, gamma: float) -> tuple[complex, comple
     return (-0.5j * omega_d - 0.5 * gamma, +0.5j * omega_d)
 
 
+# Parts of a step operator below this, a thousandth of the rounding unit,
+# change its product with a unit state by far less than that product's own
+# rounding error.
+_NEGLIGIBLE = np.finfo(float).eps / 1024
+
+
+def _band(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``m`` without its parts below _NEGLIGIBLE, as the half-width h of the
+    band of diagonals that holds the rest and the (rows, 2h + 1) array whose
+    row k is m[k, k - h : k + h + 1], zero beyond the edges of m.
+
+    The exact propagator of a chain over one step falls off faster than
+    exponentially away from the diagonal: at the presets' dt = 0.1 its band
+    is 17 amplitudes wide on each side, a sixth of a row.  Dropping the
+    parts below _NEGLIGIBLE also drops those below the smallest normal float,
+    whose arithmetic is several times slower.
+    """
+    m = m.copy()
+    for part in (m.real, m.imag):
+        part[np.abs(part) < _NEGLIGIBLE] = 0.0
+    rows, cols = np.nonzero(m)
+    h = int(np.max(np.abs(rows - cols), initial=0))
+    diagonal = np.arange(len(m))
+    windows = sliding_window_view(np.pad(m, ((0, 0), (h, h))), 2 * h + 1, axis=1)
+    return windows[diagonal, diagonal], h
+
+
 def _weight(c: np.ndarray) -> np.ndarray:
     """Squared norm over the last axis.
 
@@ -188,24 +269,19 @@ def _weight(c: np.ndarray) -> np.ndarray:
     return np.vecdot(c, c).real
 
 
-def _new_out(c: np.ndarray, out):
-    return np.empty_like(c) if out is None else out
-
-
 class _MonitoredModel:
     """The detector part shared by the monitored models.
 
-    The constant part K of the generator acts on each system row (a system
-    level, or a reservoir mode with the system in g) as a 2x2 block over the
-    detector levels (a, b): splitting omega_d/2 and decay gamma/2 on every
-    row, the coupling lam on the monitored rows, and a constant row phase.
+    The constant generator K acts on each system row (a system level, or a
+    chain site with the system in g) as a 2x2 block over the detector
+    levels (a, b): splitting omega_d/2 and decay gamma/2 on every row, the
+    coupling lam on the monitored rows, and a constant row phase.
     ``detector_blocks`` holds the block of the excited row and the block of
-    the ground rows.  ``derivative`` applies K and ``propagate``
-    ``expm(K dt)``, whose blocks are computed once per step size.  Subclasses
-    say how a pair of blocks acts on their basis (``_operator`` and ``_act``).
+    the ground rows.  Subclasses give K (``_generator``) and its propagator
+    for a step size (``_factor``), each in the form in which ``_act``
+    applies it to the rows of amplitudes: ``derivative`` applies K and
+    ``propagate`` ``expm(K dt)``, computed once per step size.
     """
-
-    coupling_derivative = None
 
     def __init__(self, detector: DetectorParams, excited_phase: complex = 0.0):
         self.detector = detector
@@ -217,7 +293,6 @@ class _MonitoredModel:
             np.array([[excited_phase + ra, on_e], [on_e, excited_phase + rb]]),
             np.array([[ra, on_g], [on_g, rb]]),
         )
-        self._generator = self._operator(self.detector_blocks)
         self._factors: dict[float, object] = {}
 
     def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
@@ -226,14 +301,26 @@ class _MonitoredModel:
     def propagate(self, t: float, c: np.ndarray, dt: float, out=None) -> np.ndarray:
         u = self._factors.get(dt)
         if u is None:
-            u = self._factors[dt] = self._operator([expm(k * dt) for k in self.detector_blocks])
+            u = self._factors[dt] = self._factor(dt)
         return self._act(u, c, out)
+
+    def for_horizon(self, t_max: float):
+        """The model that runs up to ``t_max``: this one, whose basis does
+        not depend on the horizon."""
+        return self
 
 
 class _FourLevelModel(_MonitoredModel):
     """Basis |e,a>, |e,b>, |g,a>, |g,b>: one excited and one ground row."""
 
     dim = 4
+
+    def __init__(self, detector: DetectorParams, excited_phase: complex = 0.0):
+        super().__init__(detector, excited_phase)
+        self._generator = self._operator(self.detector_blocks)
+
+    def _factor(self, dt: float) -> np.ndarray:
+        return self._operator([expm(k * dt) for k in self.detector_blocks])
 
     @staticmethod
     def _operator(blocks):
@@ -360,153 +447,67 @@ def _four_level_observables():
     }
 
 
-class _BandCoupling:
-    """The reservoir coupling of the band models, in the interaction picture.
-
-    The mode phases exp(-i d_k t), d_k = omega_a - omega_k, are computed
-    from the absolute time, never accumulated incrementally, once per time
-    for the whole batch: ``phases(t)`` keeps the vectors of the last time
-    asked for.  The detunings are equally spaced, so mode k = a*B + j (B
-    about sqrt(n_modes)) has d_k = d_{aB} - j*spacing, and its phase is the
-    product of two phases, each evaluated directly: B + n_modes/B complex
-    exponentials per time instead of n_modes.
-    """
-
-    def __init__(self, reservoir: ReservoirSpec):
-        self.n_modes = reservoir.n_modes
-        block = int(np.ceil(np.sqrt(self.n_modes)))
-        self._coarse = -1j * reservoir.mode_detunings()[::block]
-        self._fine = 1j * reservoir.mode_spacing * np.arange(block)
-        g = reservoir.mode_couplings()
-        self._into_modes = -1j * g
-        self._into_system_conj = 1j * g
-        self._to_modes = np.empty(self.n_modes, dtype=complex)
-        self._to_system_conj = np.empty(self.n_modes, dtype=complex)
-        self._t = None
-
-    def phases(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """``-i g_k exp(-i d_k t)``, the factor by which the system amplitude
-        feeds mode k, and the complex conjugate of ``-i g_k exp(i d_k t)``,
-        the factor by which mode k feeds the system (the g_k are real)."""
-        if t != self._t:
-            ph = np.multiply.outer(np.exp(self._coarse * t), np.exp(self._fine * t))
-            ph = ph.ravel()[:self.n_modes]
-            np.multiply(self._into_modes, ph, out=self._to_modes)
-            np.multiply(self._into_system_conj, ph, out=self._to_system_conj)
-            self._t = t
-        return self._to_modes, self._to_system_conj
-
-    def apply(self, t: float, system, modes, out_system, out_modes) -> None:
-        """Write the coupling's action: ``system`` amplitudes (shape (...,))
-        feed ``out_modes`` (shape (..., n_modes)), ``modes`` feed
-        ``out_system``."""
-        to_modes, to_system_conj = self.phases(t)
-        np.vecdot(to_system_conj, modes, out=out_system)
-        np.multiply(to_modes, system[..., None], out=out_modes)
-
-
-class FreeDecayModel:
-    """Excited system decaying into the discretized band; no detector.
-
-    Basis order: |e,0> followed by |g,k> for k = 0..n_modes-1.  Interaction
-    picture: the mode detunings appear as explicit exp(+/- i (omega_a -
-    omega_k) t) phases computed from the absolute time, never accumulated
-    incrementally.
-    """
-
-    def __init__(self, reservoir: ReservoirSpec):
-        self.reservoir = reservoir
-        self.dim = reservoir.n_modes + 1
-        self.gamma = 0.0
-        self._band = _BandCoupling(reservoir)
-
-    def initial_amplitudes(self) -> np.ndarray:
-        c = np.zeros(self.dim, dtype=complex)
-        c[0] = 1.0
-        return c
-
-    def coupling_derivative(self, t: float, c: np.ndarray, out=None) -> np.ndarray:
-        # no detector: the whole generator is the reservoir coupling
-        out = _new_out(c, out)
-        self._band.apply(t, c[..., 0], c[..., 1:], out[..., 0], out[..., 1:])
-        return out
-
-    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
-        return self.coupling_derivative(t, c)
-
-    def propagate(self, t: float, c: np.ndarray, dt: float, out=None) -> np.ndarray:
-        if out is None:
-            return c.copy()
-        np.copyto(out, c)
-        return out
-
-    def excited_weight(self, c: np.ndarray) -> np.ndarray:
-        return np.zeros(c.shape[:-1])
-
-    def collapse_amplitudes(self, c: np.ndarray) -> np.ndarray:
-        raise ValueError("free decay model has no jump operator")
-
-    def observables(self):
-        def rho_ee(c):
-            return _weight(c[..., :1])
-
-        def rho_gg(c):
-            return _weight(c[..., 1:])
-
-        return {"rho_ee": rho_ee, "rho_gg": rho_gg}
-
-    default_observables = ("rho_ee",)
-
-
 class MeasuredDecayModel(_MonitoredModel):
     """Decaying system with the detector attached, single-excitation sector.
 
-    Basis order: |e,0,a>, |e,0,b>, then |g,k,a>, |g,k,b> per mode k.
-    Reservoir terms as in FreeDecayModel on matching detector indices;
-    detector terms as in DetectorMeasurementModel on the monitored level
-    (k rows for ground coupling, e rows for excited coupling).  The
-    reservoir coupling is the time-dependent part of the generator.
+    Basis order: |e,a>, |e,b>, then |g,j,a>, |g,j,b> per site j of the
+    band's Lanczos chain, which replaces the modes: ``sites`` of them, all
+    n_modes for a model built without a horizon, and as many as a run to
+    ``t_max`` needs for one built with it or through ``for_horizon``.  The
+    chain is built on first use.  In the frame rotating at omega_a the
+    generator is constant, K = -i H_chain x 1_detector plus the detector
+    blocks on every row (lam on the g rows for ground coupling, on the e
+    row for excited coupling), so a no-jump step is exact.
     """
 
-    def __init__(self, reservoir: ReservoirSpec, detector: DetectorParams):
-        self.reservoir = reservoir
-        self.dim = 2 * (reservoir.n_modes + 1)
-        self._band = _BandCoupling(reservoir)
+    def __init__(self, reservoir: ReservoirSpec, detector: DetectorParams,
+                 t_max: float | None = None):
         super().__init__(detector)
+        self.reservoir = reservoir
+        self.sites = reservoir.chain_sites(t_max)
+        self.dim = 2 * (self.sites + 1)
 
-    def initial_amplitudes(self) -> np.ndarray:
-        c = np.zeros(self.dim, dtype=complex)
-        c[1] = 1.0  # |e,0,b>
-        return c
+    def for_horizon(self, t_max: float):
+        """The model on the chain that a run up to ``t_max`` needs."""
+        if self.reservoir.chain_sites(t_max) == self.sites:
+            return self
+        model = object.__new__(type(self))
+        MeasuredDecayModel.__init__(model, self.reservoir, self.detector, t_max)
+        return model
 
-    def _operator(self, blocks):
-        # Every row is an (a, b) pair of adjacent slots, so the block-diagonal
-        # operator is a diagonal plus a within-pair swap: out = diag*c +
-        # swap*(c with each pair exchanged).  Both are stored per slot.
-        ue, ug = blocks
-        n_pairs = self.dim // 2
-        diag = np.tile(np.diag(ug), n_pairs)
-        swap = np.tile([ug[0, 1], ug[1, 0]], n_pairs)
-        diag[:2] = np.diag(ue)
-        swap[:2] = ue[0, 1], ue[1, 0]
-        return diag, swap
+    @functools.cached_property
+    def _conj_k(self) -> np.ndarray:
+        ue, ug = self.detector_blocks
+        k = block_diag(ue, *[ug] * self.sites)
+        k -= 1j * np.kron(self.reservoir.chain(self.sites), np.eye(2))
+        return k.conj()     # np.vecdot conjugates it back
+
+    @functools.cached_property
+    def _generator(self):
+        return _band(self._conj_k)
+
+    def _factor(self, dt: float):
+        return _band(expm(self._conj_k * dt))
 
     @staticmethod
     def _act(op, c, out=None):
-        diag, swap = op
-        out = np.multiply(c, diag, out=out)
-        out[..., 0::2] += swap[0::2] * c[..., 1::2]
-        out[..., 1::2] += swap[1::2] * c[..., 0::2]
-        return out
+        # Amplitude k of a row is the dot product of row k of the band with
+        # the window of that row around k.  Its rounding does not depend on
+        # the number of rows, as that of a matrix product does, and it runs
+        # on one thread, where a BLAS matrix-vector product spawns threads
+        # that crowd out the other workers of an ensemble.
+        band, h = op
+        padded = np.zeros(c.shape[:-1] + (c.shape[-1] + 2 * h,), dtype=complex)
+        padded[..., h:padded.shape[-1] - h] = c
+        # (sliding_window_view makes the same view, in three times the time)
+        windows = as_strided(padded, c.shape + (2 * h + 1,),
+                             padded.strides + padded.strides[-1:], writeable=False)
+        return np.vecdot(band, windows, out=out)
 
-    def coupling_derivative(self, t: float, c: np.ndarray, out=None) -> np.ndarray:
-        out = _new_out(c, out)
-        for d in (0, 1):    # the coupling keeps the detector level
-            self._band.apply(t, c[..., d], c[..., 2 + d::2], out[..., d], out[..., 2 + d::2])
-        return out
-
-    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
-        return super().derivative(t, c) + self.coupling_derivative(t, c)
+    def initial_amplitudes(self) -> np.ndarray:
+        c = np.zeros(self.dim, dtype=complex)
+        c[1] = 1.0  # |e,b>
+        return c
 
     def excited_weight(self, c: np.ndarray) -> np.ndarray:
         return _weight(c[..., 0::2])
@@ -529,3 +530,12 @@ class MeasuredDecayModel(_MonitoredModel):
         return {"rho_ee": rho_ee, "rho_gg": rho_gg, "rho_aa": rho_aa}
 
     default_observables = ("rho_ee",)
+
+
+class FreeDecayModel(MeasuredDecayModel):
+    """Excited system decaying into the band, undetected: MeasuredDecayModel
+    with a null detector (gamma = lam = omega_d = 0).  The state stays in
+    the detector's b level, so it never jumps."""
+
+    def __init__(self, reservoir: ReservoirSpec, t_max: float | None = None):
+        super().__init__(reservoir, DetectorParams(gamma=0.0, lam=0.0, omega_d=0.0), t_max)

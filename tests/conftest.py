@@ -44,6 +44,14 @@ BATCH_CASES = {
 }
 
 
+def star_hamiltonian(res):
+    """The band's arrowhead Hamiltonian: system in row 0, then the modes, in
+    the frame rotating at omega_a."""
+    h = np.diag(np.concatenate([[0.0], -res.mode_detunings()]))
+    h[0, 1:] = h[1:, 0] = res.mode_couplings()
+    return h
+
+
 @pytest.fixture(params=sorted(BATCH_CASES))
 def batch_case(request):
     """(name, RunConfig) of one batch case."""

@@ -367,6 +367,20 @@ class TestCli:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, sections", [
+        ("detector", "[detector]\ngamma = inf"),
+        ("rabi", "[detector]\n\n[drive]\nomega_r = nan"),
+        ("freedecay", "[reservoir]\ng0 = nan\nhalf_width = inf")])
+    def test_simulate_nonfinite_parameter_exit_2(self, model, sections, tmp_path, capsys):
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text(f"[run]\nmodel = {model}\nt_max = 1\n\n{sections}\n")
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_config_file(str(path))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(path), "--output", str(out), "--workers", "1"]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_preset_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = cli.main(["simulate", "fig1", "--output", str(out), "--per-trajectory",

@@ -6,34 +6,6 @@ from zenosim.config import ModelSpec
 from zenosim.models import DetectorParams, DriveParams, FreeDecayModel, ReservoirSpec
 
 
-class TestDetectorReducedOdes:
-    def test_uncoupled_detector_stays_put(self):
-        times, aa, bb, ab, ba = dmref.detector_reduced_odes(
-            10.0, 0.01, DetectorParams(gamma=10.0, lam=0.0))
-        np.testing.assert_allclose(bb, 1.0, atol=1e-12)
-        np.testing.assert_allclose(aa, 0.0, atol=1e-12)
-
-    def test_coherence_envelope(self):
-        params = DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0)
-        times, aa, bb, ab, ba = dmref.detector_reduced_odes(15.0, 0.005, params)
-        mask = times <= 15.0
-        envelope = np.exp(-times[mask] / 5.0)
-        rel = np.abs(np.abs(bb[mask]) - envelope) / envelope
-        assert rel.max() <= 0.10
-
-    def test_fast_detector_limit(self):
-        # gamma up at fixed lam^2/gamma: convergence to the simple
-        # exponential improves monotonically
-        errs = []
-        for gamma in (10.0, 40.0, 160.0):
-            lam = np.sqrt(gamma / 10.0)
-            params = DetectorParams(gamma=gamma, lam=lam, omega_d=1.0)
-            times, aa, bb, ab, ba = dmref.detector_reduced_odes(10.0, 0.002, params)
-            target = np.exp(-2 * lam ** 2 * times / gamma)
-            errs.append(np.max(np.abs(np.abs(bb) - target)))
-        assert errs[0] > errs[1] > errs[2]
-
-
 class TestMasterDetector:
     def test_uncoupled_populations_frozen(self):
         spec = ModelSpec("detector", detector=DetectorParams(gamma=10.0, lam=0.0))
@@ -96,18 +68,14 @@ class TestMeasuredDecayDm:
         times, pops = dmref.evolve_measured_decay_dm(res, tau_m=1e9, t_max=50.0,
                                                      dt=0.02)
         model = FreeDecayModel(res)
+        rho_ee = model.observables()["rho_ee"]
         c = model.initial_amplitudes()
         dt = 0.02
         wave = [1.0]
         for i in range(int(round(50.0 / dt))):
-            t = i * dt
-            k1 = model.derivative(t, c)
-            k2 = model.derivative(t + dt / 2, c + dt / 2 * k1)
-            k3 = model.derivative(t + dt / 2, c + dt / 2 * k2)
-            k4 = model.derivative(t + dt, c + dt * k3)
-            c = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            c = model.propagate(i * dt, c, dt)
             if (i + 1) % 50 == 0:
-                wave.append(abs(c[0]) ** 2)
+                wave.append(rho_ee(c))
         np.testing.assert_allclose(pops, wave, atol=5e-6)
 
     def test_zeno_rate_on_coarse_band(self):

@@ -1,8 +1,10 @@
+import dataclasses
+import functools
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from zenosim import engine
 from zenosim.config import DEFAULT_MASTER_SEED, ModelSpec, RunConfig, build_model, preset
@@ -20,11 +22,13 @@ from zenosim.models import (
     DetectorMeasurementModel,
     DetectorParams,
     DriveParams,
-    FreeDecayModel,
+    MeasuredDecayModel,
     RabiMeasuredModel,
     ReservoirSpec,
     _weight,
 )
+
+from conftest import BATCH_CASES, star_hamiltonian
 
 
 def detector_model(**kw):
@@ -32,10 +36,9 @@ def detector_model(**kw):
 
 
 def no_jump_step(model, c, t, dt):
-    """One renormalized no-jump step of the engine's stepper on a (1, dim) row."""
+    """One renormalized no-jump step of the engine on a (1, dim) row."""
     row = np.array(c, dtype=complex).reshape(1, -1)
-    step = engine._stepper(model)
-    return _renormalize(step(model, t, dt, row, np.empty_like(row))[0])
+    return _renormalize(model.propagate(t, row, dt, out=np.empty_like(row))[0])
 
 
 def run_detector(amps, dt, t_max=None, n=1, **kw):
@@ -110,6 +113,25 @@ class TestCollapse:
         with pytest.raises(ZeroNorm):
             _renormalize(m.collapse_amplitudes(np.array([0, 1, 0, 0], complex)))
 
+    def test_nan_norm_raises(self):
+        with pytest.raises(ZeroNorm):
+            _renormalize(np.array([np.nan, 0, 0, 1], complex))
+
+    def test_nan_row_names_its_trajectory(self):
+        # a no-jump step that leaves row 2 of four not a number at t = 0.5
+        class NanRow(DetectorMeasurementModel):
+            def propagate(self, t, c, dt, out=None):
+                out = super().propagate(t, c, dt, out)
+                if t >= 0.5:
+                    out[2] = np.nan
+                return out
+
+        spec = ModelSpec("detector", detector=DetectorParams())
+        cfg = RunConfig(spec, dt=0.1, t_max=2.0, n_trajectories=4)
+        streams = [RngStream(9, k) for k in range(4)]
+        with pytest.raises(ZeroNorm, match=r"\(nan\) at t=0.5 \(master_seed=9, trajectory=2\)"):
+            run_batch(NanRow(DetectorParams()), cfg, streams)
+
 
 class TestDeterministicStep:
     def test_invariant_excited_state(self):
@@ -163,24 +185,6 @@ class TestExactDetectorFactor:
             s = no_jump_step(m, s, k * 0.1, 0.1)
         np.testing.assert_allclose(s, exact, rtol=0, atol=1e-14)
 
-    def test_band_euler_order_one(self):
-        # the band coupling's Lawson-Euler step, against the static
-        # Hamiltonian's exact propagator mapped to the interaction picture
-        band = ReservoirSpec(n_modes=5, half_width=0.5, g0=0.05)
-        m = FreeDecayModel(band)
-        d = band.mode_detunings()
-        h = np.diag(np.concatenate([[0.0], -d])).astype(complex)
-        h[0, 1:] = h[1:, 0] = band.mode_couplings()
-        exact = expm(-2.0j * h) @ m.initial_amplitudes()
-        exact[1:] *= np.exp(-2.0j * d)
-        errors = []
-        for dt in (0.1, 0.05):
-            s = m.initial_amplitudes()
-            for k in range(int(round(2.0 / dt))):
-                s = no_jump_step(m, s, k * dt, dt)
-            errors.append(np.max(np.abs(s - exact)))
-        assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.1)
-
     def test_records_do_not_depend_on_omega_a(self):
         names = ("rho_aa", "rho_ee", "rho_gg")
         n_jumps = 0
@@ -201,6 +205,90 @@ class TestExactDetectorFactor:
                     np.testing.assert_allclose(rec.observables[name],
                                                first.observables[name], rtol=0, atol=1e-12)
         assert n_jumps > 0
+
+
+class FixedBand(MeasuredDecayModel):
+    """The measured band model on a given Hamiltonian ``h`` (system in row 0,
+    then the band's sites), at every horizon: K = detector blocks
+    - i h x 1_detector, stepped by the engine as any other model."""
+
+    def __init__(self, reservoir, detector, h):
+        super().__init__(reservoir, detector)
+        self.h = h
+        self.sites = len(h) - 1
+        self.dim = 2 * len(h)
+
+    def for_horizon(self, t_max):
+        return self
+
+    @functools.cached_property
+    def _conj_k(self):
+        ue, ug = self.detector_blocks
+        k = block_diag(ue, *[ug] * self.sites) - 1j * np.kron(self.h, np.eye(2))
+        return k.conj()     # conjugated, as the model's own
+
+
+def assert_close_records(a, b, atol):
+    assert a.jumps == b.jumps
+    for k in range(len(a.streams)):
+        for name in a.observables:
+            np.testing.assert_allclose(a.observables[name][k], b.observables[name][k],
+                                       rtol=0, atol=atol)
+
+
+class TestExactBand:
+    """The band models step on the band's Lanczos chain, cut to the run's
+    horizon; every no-jump step is the star model's exact propagator."""
+
+    @pytest.mark.parametrize("slope", [0.0, 2.0])
+    def test_free_decay_matches_star(self, slope):
+        # the 1001-mode bands of fig7 and fig8 on [0, 300], 102 chain sites
+        cfg = preset("fig8" if slope else "fig7")
+        res = cfg.model.reservoir
+        assert res.slope == slope and res.n_modes == 1001
+        rec = run_trajectory(build_model(cfg.model), cfg, RngStream(1, 0))
+        energies, vectors = np.linalg.eigh(star_hamiltonian(res))
+        c_e = np.exp(-1j * np.outer(rec.times, energies)) @ vectors[0] ** 2
+        assert rec.times[-1] == 300.0
+        err = np.max(np.abs(rec.observables["rho_ee"] - np.abs(c_e) ** 2))
+        assert err <= 1e-12
+
+    @pytest.mark.parametrize("name", ["measureddecay-ground", "measureddecay-excited"])
+    def test_records_match_star_stepper(self, name):
+        # the 101-mode batch band, 20 chain sites at t_max = 30, against
+        # dense expm steps on all 101 modes of the star, on the same streams
+        cfg = BATCH_CASES[name]
+        spec = cfg.model
+        streams = [RngStream(cfg.master_seed, i) for i in range(cfg.n_trajectories)]
+        chain = run_batch(build_model(spec), cfg, streams)
+        star = run_batch(FixedBand(spec.reservoir, spec.detector,
+                                   star_hamiltonian(spec.reservoir)), cfg, streams)
+        assert sum(len(j) for j in chain.jumps) > 0
+        assert_close_records(chain, star, 1e-10)
+
+    @pytest.mark.parametrize("name", ["fig10", "fig12"])
+    def test_chain_doubling(self, name):
+        # trajectories to t = 300 on the horizon's chain and on twice as many sites
+        cfg = preset(name).with_overrides(n_trajectories=3)
+        spec = cfg.model
+        streams = [RngStream(cfg.master_seed, i) for i in range(cfg.n_trajectories)]
+        model = build_model(spec).for_horizon(cfg.t_max)
+        double = FixedBand(spec.reservoir, spec.detector, spec.reservoir.chain(2 * model.sites))
+        a, b = run_batch(model, cfg, streams), run_batch(double, cfg, streams)
+        assert model.sites == 102
+        assert sum(len(j) for j in a.jumps) > 0
+        assert_close_records(a, b, 1e-10)
+
+    def test_records_do_not_depend_on_omega_a(self, assert_same_record):
+        cfg = BATCH_CASES["measureddecay-ground"]
+        shifted = dataclasses.replace(cfg.model.reservoir, omega_a=7.3)
+        other = cfg.with_overrides(model=ModelSpec("measureddecay", reservoir=shifted,
+                                                   detector=cfg.model.detector))
+        streams = [RngStream(cfg.master_seed, i) for i in range(4)]
+        a = run_batch(build_model(cfg.model), cfg, streams)
+        b = run_batch(build_model(other.model), other, streams)
+        for k in range(len(streams)):
+            assert_same_record(a.record(k), b.record(k))
 
 
 class TestRngStream:

@@ -12,6 +12,8 @@ from zenosim.models import (
     ReservoirSpec,
 )
 
+from conftest import star_hamiltonian
+
 RNG = np.random.default_rng(42)
 
 
@@ -39,7 +41,8 @@ class TestNormFlowIdentity:
     """d(norm^2)/dt must equal -gamma * detector-excited weight for every
     model: the Hermitian part of the generator moves no probability."""
 
-    @pytest.mark.parametrize("model", all_models(), ids=lambda m: type(m).__name__ + getattr(getattr(m, 'detector', None), 'coupling_target', ''))
+    @pytest.mark.parametrize("model", all_models(), ids=lambda m: type(m).__name__ + (
+        "" if isinstance(m, FreeDecayModel) else m.detector.coupling_target))
     def test_norm_flow(self, model):
         for t in (0.0, 0.37, 2.9):
             c = random_state(model.dim)
@@ -125,28 +128,22 @@ class TestFreeDecayModel:
         np.testing.assert_array_equal(d, np.zeros(model.dim))
 
     def test_two_mode_exact_diagonalization(self):
-        # interaction-picture integration against the static three-level
-        # propagator |<e0| exp(-iHt) |e0>|^2
+        # exact chain steps against the static three-level propagator
+        # |<e0| exp(-iHt) |e0>|^2, in the frame rotating at omega_a
         res = ReservoirSpec(n_modes=2, half_width=0.3, g0=0.12, omega_a=1.0)
         model = FreeDecayModel(res)
-        omega = res.mode_frequencies()
+        d = res.mode_detunings()
         g = res.mode_couplings()
         h = np.array([
-            [res.omega_a, g[0], g[1]],
-            [g[0], omega[0], 0.0],
-            [g[1], 0.0, omega[1]],
+            [0.0, g[0], g[1]],
+            [g[0], -d[0], 0.0],
+            [g[1], 0.0, -d[1]],
         ], dtype=complex)
         c = model.initial_amplitudes()
-        dt = 0.002
-        for i in range(int(3.0 / dt)):
-            t = i * dt
-            k1 = model.derivative(t, c)
-            k2 = model.derivative(t + dt / 2, c + dt / 2 * k1)
-            k3 = model.derivative(t + dt / 2, c + dt / 2 * k2)
-            k4 = model.derivative(t + dt, c + dt * k3)
-            c = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        for i in range(30):
+            c = model.propagate(0.1 * i, c, 0.1)
         exact = abs(expm(-1j * h * 3.0)[0, 0]) ** 2
-        assert abs(c[0]) ** 2 == pytest.approx(exact, abs=1e-8)
+        assert model.observables()["rho_ee"](c) == pytest.approx(exact, abs=1e-14)
 
     def test_norm_conserved(self):
         res = ReservoirSpec(n_modes=9, half_width=0.5, g0=0.05)
@@ -161,15 +158,13 @@ class TestMeasuredDecayModel:
         res = ReservoirSpec(n_modes=7, half_width=0.5, g0=0.03)
         full = MeasuredDecayModel(res, DetectorParams(gamma=0.0, lam=0.0, omega_d=0.0))
         free = FreeDecayModel(res)
-        cf = random_state(free.dim)
-        c = np.zeros(full.dim, complex)
-        c[1] = cf[0]        # e,b slot
-        c[3::2] = cf[1:]    # k,b slots
-        d = full.derivative(0.9, c)
-        df = free.derivative(0.9, cf)
-        assert d[1] == pytest.approx(df[0], abs=1e-15)
-        np.testing.assert_allclose(d[3::2], df[1:], atol=1e-15)
-        np.testing.assert_allclose(d[::2], 0.0, atol=1e-15)  # a-sector inert
+        assert (free.dim, free.gamma) == (full.dim, 0.0)
+        c = random_state(full.dim)
+        c[::2] = 0.0        # the detector's b level only
+        d = free.derivative(0.9, c)
+        np.testing.assert_array_equal(d, full.derivative(0.9, c))
+        np.testing.assert_array_equal(d[::2], 0.0)  # a-sector inert
+        assert free.observables()["rho_aa"](free.propagate(0.0, c, 5.0)) == 0.0
 
     def test_reduces_to_detector_blocks_without_reservoir(self):
         res = ReservoirSpec(n_modes=5, half_width=0.5, g0=0.0)
@@ -183,8 +178,8 @@ class TestMeasuredDecayModel:
         de = block.derivative(0.0, eb)
         assert d[0] == pytest.approx(de[0], abs=1e-15)
         assert d[1] == pytest.approx(de[1], abs=1e-15)
-        # each reservoir block evolves like the detector's g rows
-        for k in range(res.n_modes):
+        # each chain site evolves like the detector's g rows
+        for k in range(full.sites):
             gk = np.array([0, 0, c[2 + 2 * k], c[3 + 2 * k]], complex)
             dg = block.derivative(0.0, gk)
             assert d[2 + 2 * k] == pytest.approx(dg[2], abs=1e-15)
@@ -199,18 +194,80 @@ class TestMeasuredDecayModel:
         np.testing.assert_array_equal(out[1::2], c[::2])
 
 
+class TestChain:
+    BANDS = [ReservoirSpec(slope=0.0), ReservoirSpec(slope=2.0),
+             ReservoirSpec(n_modes=101, half_width=0.5, g0=0.01, slope=-0.7)]
+
+    @pytest.mark.parametrize("res", BANDS, ids=["flat", "sloped", "small"])
+    def test_hermitian_tridiagonal(self, res):
+        for sites in (30, res.chain_sites(300.0)):
+            h = res.chain(sites)
+            assert h.shape == (sites + 1, sites + 1)
+            np.testing.assert_array_equal(h, h.T)
+            np.testing.assert_array_equal(np.triu(h, 2), 0.0)
+            assert h[0, 0] == 0.0
+            assert h[0, 1] == pytest.approx(np.linalg.norm(res.mode_couplings()), rel=1e-14)
+            assert np.all(np.diag(h, 1) > 0.0)
+
+    @pytest.mark.parametrize("res", BANDS, ids=["flat", "sloped", "small"])
+    def test_moments_match_band(self, res):
+        # sum_k g_k^2 (-d_k)^m for m < 2L: |g|^2 (T^m)_00 on the L-site chain T
+        energies, g2 = -res.mode_detunings(), res.mode_couplings() ** 2
+        sites = 40
+        h = res.chain(sites)
+        t = h[1:, 1:]
+        p = np.zeros(sites)
+        p[0] = 1.0
+        for m in range(2 * sites):
+            band = np.sum(g2 * energies ** m)
+            scale = np.sum(g2 * np.abs(energies) ** m)
+            chain = h[0, 1] ** 2 * (p @ np.linalg.matrix_power(t, m))[0]
+            assert abs(chain - band) <= 1e-12 * scale, m
+
+    def test_untruncated_chain_is_the_star(self):
+        # all n_modes sites: a unitary change of the mode basis, with the
+        # same spectrum and the same weights of the system level
+        res = self.BANDS[2]
+        h = res.chain(res.chain_sites())
+        e_chain, v_chain = np.linalg.eigh(h)
+        e_star, v_star = np.linalg.eigh(star_hamiltonian(res))
+        np.testing.assert_allclose(e_chain, e_star, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(v_chain[0] ** 2, v_star[0] ** 2, rtol=0, atol=1e-13)
+
+    def test_sites_from_horizon(self):
+        res = ReservoirSpec()
+        assert res.chain_sites() == res.n_modes
+        assert res.chain_sites(300.0) == 102          # fig7..fig12
+        assert res.chain_sites(30.0) == 20
+        assert res.chain_sites(1e5) == res.n_modes
+        assert ReservoirSpec(n_modes=101, g0=0.01).chain_sites(300.0) == 101
+
+    def test_uncoupled_band_is_an_empty_chain(self):
+        np.testing.assert_array_equal(ReservoirSpec(n_modes=5, g0=0.0).chain(5), 0.0)
+
+    def test_horizon_shortens_the_chain(self):
+        res = ReservoirSpec(n_modes=101, g0=0.01)
+        for model in (FreeDecayModel(res), MeasuredDecayModel(res, DetectorParams())):
+            short = model.for_horizon(30.0)
+            assert type(short) is type(model)
+            assert (model.sites, short.sites, short.dim) == (101, 20, 42)
+            assert short.for_horizon(30.0) is short
+            assert model.for_horizon(1e4) is model
+
+
 class TestReservoirSpec:
     def test_grid_spans_band(self):
+        # detunings omega_a - omega_k from +half_width down to -half_width
         res = ReservoirSpec(n_modes=101, half_width=0.5, g0=0.01, omega_a=2.0)
-        w = res.mode_frequencies()
-        assert w[0] == pytest.approx(1.5, abs=0)
-        assert w[-1] == pytest.approx(2.5, abs=0)
+        d = res.mode_detunings()
+        assert d[0] == 0.5
+        assert d[-1] == pytest.approx(-0.5, abs=1e-15)
         assert res.mode_spacing == pytest.approx(0.01)
 
     def test_grid_symmetric_about_system_frequency(self):
         res = ReservoirSpec(n_modes=64, half_width=0.7, g0=0.01, omega_a=1.3)
-        w = res.mode_frequencies()
-        np.testing.assert_allclose(w + w[::-1], 2 * res.omega_a, atol=1e-12)
+        d = res.mode_detunings()
+        np.testing.assert_allclose(d + d[::-1], 0.0, atol=1e-12)
 
     def test_flat_coupling_exact(self):
         res = ReservoirSpec(n_modes=33, half_width=0.5, g0=0.02, slope=0.0)
@@ -226,6 +283,16 @@ class TestReservoirSpec:
         res = ReservoirSpec(n_modes=1001, half_width=0.5, g0=0.001262)
         coarse = res.with_modes(201)
         assert coarse.golden_rate() == pytest.approx(res.golden_rate(), rel=1e-12)
+
+    @pytest.mark.parametrize("cls, field", [
+        (DetectorParams, "gamma"), (DetectorParams, "lam"), (DetectorParams, "omega_d"),
+        (DriveParams, "omega_r"), (DriveParams, "detuning"),
+        (ReservoirSpec, "half_width"), (ReservoirSpec, "g0"), (ReservoirSpec, "slope"),
+        (ReservoirSpec, "omega_a")])
+    def test_rejects_non_finite(self, cls, field):
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                cls(**{field: value})
 
     def test_paper_mode_count_spacing(self):
         res = ReservoirSpec(n_modes=1001, half_width=0.5, g0=0.001262)

@@ -125,8 +125,9 @@ class TestResolvent:
         res = exact_band(slope)
 
         def integrand(x, part):
-            val = (res.density_of_states * res.coupling(res.omega_a + x) ** 2
-                   / (z + 1j * x))
+            # g(w) at w = omega_a + x: g0 (1 + (slope / half_width) x)
+            g = res.g0 * (1.0 + (res.slope / res.half_width) * x)
+            val = res.density_of_states * g ** 2 / (z + 1j * x)
             return val.real if part == 0 else val.imag
 
         for z in (0.01 + 0.003j, 0.2 - 0.05j, 1.5 + 0j):
