@@ -11,9 +11,9 @@ the degree-4 Taylor polynomial of exp(dt L), applied in Horner form by
 ``_rk4``.  The 4-level master equation is small: RK4 applied to the
 identity gives its step matrix once, and each recorded point (a power of
 it) is a single matvec.
-The band density matrix is large but its Hamiltonian is arrowhead shaped
-(a diagonal plus row and column 0), so its commutator costs O(n^2) and RK4
-is applied to rho itself.
+The band density matrix runs on the band's Lanczos chain, as long as its
+horizon needs, where the Hamiltonian is tridiagonal: its commutator costs
+O(n^2) and RK4 is applied to rho itself.
 """
 
 from __future__ import annotations
@@ -43,6 +43,13 @@ def check_density_matrix(rho: np.ndarray, hermiticity_tol: float = 1e-10,
     eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
     if eigs.min() < -eig_tol:
         raise ToleranceExceeded(f"negative eigenvalue {eigs.min():.3g}")
+
+
+def _require_horizon(t_max: float, dt: float) -> None:
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not (np.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
 
 
 def _rk4(apply, y, dt, work=None):
@@ -126,6 +133,7 @@ def evolve_master_detector(spec: ModelSpec, t_max: float, dt: float,
     """
     if spec.variant not in ("detector", "rabi"):
         raise ValueError("master-equation reference covers the 4-level models only")
+    _require_horizon(t_max, dt)
     h, sm, gamma, detuning = _four_level_operators(spec)
 
     if rho0 is None:
@@ -172,74 +180,49 @@ def four_level_populations(rhos: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _arrowhead_generator(d: np.ndarray, g: np.ndarray, damp: np.ndarray):
-    """``apply(r, out)``: out = -i[h, r] - damp * r for the arrowhead
-    h = diag(d) + row and column 0, with h[0, 1:] = g and h[1:, 0] = conj(g).
-
-    The diagonal part of the commutator and the damping are one elementwise
-    factor; the rest, with gh = (0, g) and e0 the unit vector of index 0,
-
-        e0 (gh r) - (r gh*) e0^T + gh* r[0] - r[:, 0] gh,
-
-    is two matvecs into row and column 0 plus a rank-two product, so a call
-    costs O(n^2) where a dense h @ r costs O(n^3).
-    """
-    n = len(d)
+def _tridiagonal_generator(h: np.ndarray, damp: np.ndarray):
+    """``apply(r, out)``: out = -i[h, r] - damp * r for a real symmetric
+    tridiagonal h: one elementwise factor for the diagonal and the damping,
+    and one shifted product per side of each hopping, so a call costs
+    O(n^2) where a dense h @ r costs O(n^3)."""
+    d = np.diag(h)
     factor = -1j * (d[:, None] - d[None, :]) - damp
-    gh = np.zeros(n, complex)
-    gh[1:] = g
-    ghc = gh.conj()
-    cols = np.empty((n, 2), complex)       # (gh*, r[:, 0])
-    cols[:, 0] = ghc
-    rows = np.empty((2, n), complex)       # (-i r[0], i gh)
-    rows[1] = 1j * gh
-    tmp = np.empty((n, n), complex)
+    rows = -1j * np.diag(h, 1)[:, None]
+    cols = 1j * np.diag(h, 1)
 
     def apply(r, out):
-        cols[:, 1] = r[:, 0]
-        np.multiply(r[0], -1j, out=rows[0])
-        np.matmul(cols, rows, out=out)
-        np.multiply(factor, r, out=tmp)
-        out += tmp
-        out[0] -= 1j * (gh @ r)
-        out[:, 0] += 1j * (r @ ghc)
+        np.multiply(factor, r, out=out)
+        out[:-1] += rows * r[1:]
+        out[1:] += rows * r[:-1]
+        out[:, :-1] += cols * r[:, 1:]
+        out[:, 1:] += cols * r[:, :-1]
 
     return apply
 
 
 def evolve_measured_decay_dm(res: ReservoirSpec, tau_m: float, t_max: float,
                              dt: float, record_every: int | None = None):
-    """Excited-state population of the measured decaying system, dense DM.
+    """Excited-state population of the measured decaying system, reduced DM.
 
     Integrates the single-excitation Liouville-von Neumann equation with
     the system <-> reservoir coherences additionally damped at 1/tau_m (the
-    detector enters through that rate only).  The Hamiltonian is arrowhead
-    shaped, so each RK4 stage costs O(n^2) (``_arrowhead_generator``)
-    instead of the O(n^3) of dense products.  rho is still stored densely,
-    (n_modes+1)^2 complex entries in each of four work arrays, so a
-    1001-mode band would cost about 25 times the time and memory of the
-    201-mode one: the mode count stays capped at 201.  Use
-    ReservoirSpec.with_modes to coarsen the band while preserving the decay
-    rate.
+    detector enters through that rate only) by RK4 on the band's Lanczos
+    chain, as long as a run to ``t_max`` needs (``ReservoirSpec.chain_sites``).
+    The damping is the same on every mode, so the change of basis to the
+    chain leaves it as it is, and the chain is exact up to its horizon.
 
     Returns (times, populations) where populations is the excited-state
     occupation.  Raises ToleranceExceeded if the trace drifts beyond 1e-7.
     """
-    if res.n_modes > 201:
-        raise ValueError("dense reference capped at 201 modes; rescale with with_modes()")
+    _require_horizon(t_max, dt)
     if tau_m <= 0:
         raise ValueError("tau_m must be > 0")
-    dim = res.n_modes + 1
+    h = res.chain(res.chain_sites(t_max))
+    damp = np.zeros(h.shape)
+    damp[0, 1:] = damp[1:, 0] = 1.0 / tau_m
+    apply = _tridiagonal_generator(h, damp)
 
-    # global frequency shift by omega_a drops out of the commutator
-    d = np.zeros(dim)
-    d[1:] = -res.mode_detunings()
-    damp = np.zeros((dim, dim))
-    damp[0, 1:] = 1.0 / tau_m
-    damp[1:, 0] = 1.0 / tau_m
-    apply = _arrowhead_generator(d, res.mode_couplings().astype(complex), damp)
-
-    rho = np.zeros((dim, dim), complex)
+    rho = np.zeros(h.shape, complex)
     rho[0, 0] = 1.0
     work = (np.empty_like(rho), np.empty_like(rho))
 

@@ -12,6 +12,7 @@ counts, and numerically stable.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_model
+from .config import ConfigError, ModelSpec, RunConfig, build_model
 from .engine import RngStream, TrajectoryBatch, TrajectoryRecord, run_batch
 # ``run_trajectory`` stays importable from this module: benchmarks/tracing.py
 # wraps it here by name.
@@ -90,8 +91,17 @@ def _streams(config: RunConfig, lo: int, hi: int) -> list[RngStream]:
     return [RngStream(config.master_seed, i) for i in range(lo, hi)]
 
 
+@functools.lru_cache(maxsize=1)
+def _horizon_model(spec: ModelSpec, t_max: float):
+    """The model a run up to ``t_max`` steps, built once per worker process
+    for all the chunks of the run it is given, so that a band model's
+    chain and step propagator are not rebuilt for every chunk."""
+    return build_model(spec).for_horizon(t_max)
+
+
 def _run_range(config: RunConfig, lo: int, hi: int) -> TrajectoryBatch:
-    return run_batch(build_model(config.model), config, _streams(config, lo, hi))
+    return run_batch(_horizon_model(config.model, config.t_max), config,
+                     _streams(config, lo, hi))
 
 
 def mean_and_stderr(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -169,6 +169,8 @@ class ReservoirSpec:
         """
         if t_max is None:
             return self.n_modes
+        if not (np.isfinite(t_max) and t_max >= 0):
+            raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
         x = self.half_width * t_max
         return min(self.n_modes, int(np.ceil(x / 2 + 5 * x ** (1 / 3))))
 

@@ -6,6 +6,12 @@ from zenosim.config import ModelSpec
 from zenosim.models import DetectorParams, DriveParams, FreeDecayModel, ReservoirSpec
 
 
+# (t_max, dt, the argument the error names)
+BAD_HORIZONS = [(1.0, -0.05, "dt"), (1.0, 0.0, "dt"), (1.0, np.nan, "dt"),
+                (1.0, np.inf, "dt"), (-1.0, 0.05, "t_max"), (np.nan, 0.05, "t_max"),
+                (np.inf, 0.05, "t_max")]
+
+
 class TestMasterDetector:
     def test_uncoupled_populations_frozen(self):
         spec = ModelSpec("detector", detector=DetectorParams(gamma=10.0, lam=0.0))
@@ -58,25 +64,45 @@ class TestMasterDetector:
         with pytest.raises(ValueError):
             dmref.evolve_master_detector(spec, 1.0, 0.01)
 
+    def test_rejects_bad_horizon(self):
+        spec = ModelSpec("detector", detector=DetectorParams())
+        for t_max, dt, name in BAD_HORIZONS:
+            with pytest.raises(ValueError, match=name):
+                dmref.evolve_master_detector(spec, t_max, dt)
+
 
 class TestMeasuredDecayDm:
     def test_long_measurement_matches_free_decay(self):
         # negligible coherence damping: the reduced matrix must reproduce
-        # the pure wavefunction decay on the same band
-        res = ReservoirSpec(n_modes=51, half_width=0.5,
-                            g0=float(np.sqrt(0.01 * 0.02 / (2 * np.pi))))
-        times, pops = dmref.evolve_measured_decay_dm(res, tau_m=1e9, t_max=50.0,
-                                                     dt=0.02)
-        model = FreeDecayModel(res)
-        rho_ee = model.observables()["rho_ee"]
-        c = model.initial_amplitudes()
-        dt = 0.02
-        wave = [1.0]
-        for i in range(int(round(50.0 / dt))):
-            c = model.propagate(i * dt, c, dt)
-            if (i + 1) % 50 == 0:
-                wave.append(rho_ee(c))
-        np.testing.assert_allclose(pops, wave, atol=5e-6)
+        # the pure wavefunction decay on the same band, untruncated (51
+        # modes) and on the chain of the paper's band (1001 modes)
+        for res in (ReservoirSpec(n_modes=51, half_width=0.5,
+                                  g0=float(np.sqrt(0.01 * 0.02 / (2 * np.pi)))),
+                    ReservoirSpec(n_modes=1001, half_width=0.5, g0=0.001262)):
+            times, pops = dmref.evolve_measured_decay_dm(res, tau_m=1e9, t_max=50.0,
+                                                         dt=0.02)
+            model = FreeDecayModel(res, t_max=50.0)
+            rho_ee = model.observables()["rho_ee"]
+            c = model.initial_amplitudes()
+            dt = 0.02
+            wave = [1.0]
+            for i in range(int(round(50.0 / dt))):
+                c = model.propagate(i * dt, c, dt)
+                if (i + 1) % 50 == 0:
+                    wave.append(rho_ee(c))
+            np.testing.assert_allclose(pops, wave, atol=5e-6)
+
+    @pytest.mark.parametrize("slope", [0.0, 2.0])
+    def test_chain_doubling(self, slope):
+        # the chain cut for t = 20 is exact up to t = 20: the run on the
+        # longer chain of t = 40 starts with the same curve
+        res = ReservoirSpec(n_modes=1001, half_width=0.5, g0=0.001262, slope=slope)
+        assert res.chain_sites(20.0) < res.chain_sites(40.0) < res.n_modes
+        _, short = dmref.evolve_measured_decay_dm(res, 5.0, t_max=20.0, dt=0.05,
+                                                  record_every=1)
+        _, long = dmref.evolve_measured_decay_dm(res, 5.0, t_max=40.0, dt=0.05,
+                                                 record_every=1)
+        assert np.max(np.abs(long[:len(short)] - short)) <= 1e-12
 
     def test_zeno_rate_on_coarse_band(self):
         res = ReservoirSpec(n_modes=1001, half_width=0.5, g0=0.001262).with_modes(101)
@@ -99,10 +125,11 @@ class TestMeasuredDecayDm:
         free = oracles.corrected_free_decay_rate(res).rate
         assert rate > free
 
-    def test_mode_cap(self):
-        res = ReservoirSpec(n_modes=301, half_width=0.5, g0=0.001)
-        with pytest.raises(ValueError):
-            dmref.evolve_measured_decay_dm(res, 5.0, 1.0, 0.05)
+    def test_rejects_bad_horizon(self):
+        res = ReservoirSpec(n_modes=1001, half_width=0.5, g0=0.001262)
+        for t_max, dt, name in BAD_HORIZONS:
+            with pytest.raises(ValueError, match=name):
+                dmref.evolve_measured_decay_dm(res, 5.0, t_max, dt)
 
 
 def rk4_step(rhs, t, y, dt):
@@ -174,8 +201,8 @@ class TestConstantGeneratorMaster:
 
 
 def dense_band_populations(res, tau_m, t_max, dt):
-    """The band density matrix as it was integrated before the arrowhead
-    form: dense h @ r - r @ h in four-stage RK4, rho_ee after every step."""
+    """The band density matrix on the star basis of the modes: dense
+    h @ r - r @ h in four-stage RK4, rho_ee after every step."""
     dim = res.n_modes + 1
     g = res.mode_couplings()
     h = np.zeros((dim, dim), complex)
@@ -210,16 +237,13 @@ class TestArrowheadBand:
     def test_generator_is_the_dense_commutator(self):
         rng = np.random.default_rng(3)
         n = 7
-        d = np.concatenate([[0.0], rng.normal(size=n - 1)])
-        g = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+        hop = rng.normal(size=n - 1)
+        h = np.diag(rng.normal(size=n)) + np.diag(hop, 1) + np.diag(hop, -1)
         damp = rng.random((n, n))
-        h = np.diag(d).astype(complex)
-        h[0, 1:] = g
-        h[1:, 0] = g.conj()
         r = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         out = np.empty_like(r)
-        dmref._arrowhead_generator(d, g, damp)(r, out)
-        np.testing.assert_allclose(out, -1j * (h @ r - r @ h) - damp * r, atol=1e-13)
+        dmref._tridiagonal_generator(h, damp)(r, out)
+        np.testing.assert_allclose(out, -1j * (h @ r - r @ h) - damp * r, rtol=0, atol=1e-13)
 
 
 class TestDensityMatrixChecks:

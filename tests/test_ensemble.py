@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zenosim import ensemble
 from zenosim.config import ConfigError, ModelSpec, RunConfig, build_model, preset
 from zenosim.engine import ProbabilityOverflow, RngStream, run_trajectory
 from zenosim.ensemble import (
@@ -163,6 +164,26 @@ class TestRunEnsemble:
         for k in runs[0].mean:
             np.testing.assert_array_equal(runs[0].mean[k], runs[1].mean[k])
             np.testing.assert_array_equal(runs[0].std_error[k], runs[1].std_error[k])
+
+    def test_worker_builds_the_model_once(self, monkeypatch):
+        # the chunks a worker process runs share one model of the run's horizon
+        built = []
+
+        def counting_build(spec):
+            built.append(spec)
+            return build_model(spec)
+
+        monkeypatch.setattr(ensemble, "build_model", counting_build)
+        ensemble._horizon_model.cache_clear()
+        cfg = RunConfig(preset("fig10").model, dt=0.1, t_max=5.0, n_trajectories=4)
+        first = ensemble._run_range(cfg, 0, 2)
+        second = ensemble._run_range(cfg, 2, 4)
+        ensemble._horizon_model.cache_clear()
+        assert built == [cfg.model]
+        whole = ensemble._run_range(cfg, 0, 4)
+        np.testing.assert_array_equal(
+            np.concatenate([first.observables["rho_ee"], second.observables["rho_ee"]]),
+            whole.observables["rho_ee"])
 
     def test_std_error_scales_with_ensemble_size(self):
         cfg_small = self.small_config(n=250, t_max=20.0)

@@ -242,6 +242,11 @@ class TestChain:
         assert res.chain_sites(1e5) == res.n_modes
         assert ReservoirSpec(n_modes=101, g0=0.01).chain_sites(300.0) == 101
 
+    @pytest.mark.parametrize("t_max", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_horizon(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            ReservoirSpec().chain_sites(t_max)
+
     def test_uncoupled_band_is_an_empty_chain(self):
         np.testing.assert_array_equal(ReservoirSpec(n_modes=5, g0=0.0).chain(5), 0.0)
 
