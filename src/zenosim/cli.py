@@ -157,6 +157,7 @@ def _cmd_simulate(args) -> int:
     manifest = outdir / "manifest.json"
     write_manifest(manifest, cfg, outputs, wall,
                    extra={"total_jumps": stats.total_jumps,
+                          "max_jump_prob": stats.trajectories.max_jump_prob,
                           "phase_wall_s": {"ensemble": ensemble_done - started,
                                            "csv": csv_done - ensemble_done}})
     outputs.append(str(manifest))

@@ -45,11 +45,13 @@ def check_density_matrix(rho: np.ndarray, hermiticity_tol: float = 1e-10,
         raise ToleranceExceeded(f"negative eigenvalue {eigs.min():.3g}")
 
 
-def _require_horizon(t_max: float, dt: float) -> None:
+def _require_horizon(t_max: float, dt: float, record_every: int | None = None) -> None:
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not (np.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+    if record_every is not None and record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
 
 
 def _rk4(apply, y, dt, work=None):
@@ -133,7 +135,7 @@ def evolve_master_detector(spec: ModelSpec, t_max: float, dt: float,
     """
     if spec.variant not in ("detector", "rabi"):
         raise ValueError("master-equation reference covers the 4-level models only")
-    _require_horizon(t_max, dt)
+    _require_horizon(t_max, dt, record_every)
     h, sm, gamma, detuning = _four_level_operators(spec)
 
     if rho0 is None:
@@ -214,7 +216,7 @@ def evolve_measured_decay_dm(res: ReservoirSpec, tau_m: float, t_max: float,
     Returns (times, populations) where populations is the excited-state
     occupation.  Raises ToleranceExceeded if the trace drifts beyond 1e-7.
     """
-    _require_horizon(t_max, dt)
+    _require_horizon(t_max, dt, record_every)
     if tau_m <= 0:
         raise ValueError("tau_m must be > 0")
     h = res.chain(res.chain_sites(t_max))

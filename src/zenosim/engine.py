@@ -20,12 +20,21 @@ number of rows, so a trajectory's record is bit-identical whether it runs
 alone (``run_trajectory`` is a batch of one) or in a batch of any size, in
 any worker.
 
+The states of a block of steps, about ``STATE_BLOCK`` amplitudes, are kept
+in one (block + 1, n, dim) array: step s propagates slot s into slot s + 1,
+then decides, collapses and renormalizes that slot in place.  When the block
+ends, the step-size guard and the recorded observables are evaluated once
+on all its kept states, and its last state moves to slot 0.
+
 The rule allows one jump per step, so ``Gamma * dt * excited_weight`` on the
 state at the start of the step serves as the step-size guard: above 0.1 it
 warns (JumpProbabilityWarning, once per batch), above 1 it raises
-ProbabilityOverflow.  That error, and ZeroNorm for a state whose norm
-underflows or is not a number, name the master seed and the trajectory, so
-the failure can be replayed alone.
+ProbabilityOverflow, each reported at its own step; a ZeroNorm in the
+middle of a block is raised after the guard of the block's steps up to it,
+so an earlier overflow still comes first.  ``TrajectoryBatch.max_jump_prob``
+keeps the largest guard.  ProbabilityOverflow, and ZeroNorm for a state
+whose norm underflows or is not a number, name the master seed and the
+trajectory, so the failure can be replayed alone.
 
 Randomness comes from a counter-based Philox generator keyed by
 ``(master_seed, stream_id)`` (Salmon et al., SC'11), so any (seed,
@@ -45,6 +54,7 @@ from .models import _weight
 
 JUMP_PROBABILITY_WARN = 0.1
 UNIFORM_BLOCK = 1024   # steps of uniforms drawn per trajectory at a time
+STATE_BLOCK = 2 ** 15  # amplitudes of the states kept per block of steps
 ZERO_NORM_THRESHOLD = 1e-300
 
 
@@ -117,7 +127,8 @@ class TrajectoryBatch:
     ``observables`` maps a name to an (n, len(times)) array and
     ``final_observables`` a name to the n values at the end of the run;
     ``jumps[k]`` lists the grid times of the collapses of the trajectory of
-    ``streams[k]``.
+    ``streams[k]``; ``max_jump_prob`` is the largest step-size guard
+    ``Gamma*dt*w`` over all steps and rows (0 without a detector).
     """
 
     streams: list[RngStream]
@@ -125,6 +136,7 @@ class TrajectoryBatch:
     observables: dict[str, np.ndarray]
     jumps: list[list[float]]
     final_observables: dict[str, np.ndarray]
+    max_jump_prob: float
 
     @classmethod
     def concatenate(cls, batches: list[TrajectoryBatch]) -> TrajectoryBatch:
@@ -138,6 +150,7 @@ class TrajectoryBatch:
             jumps=[j for b in batches for j in b.jumps],
             final_observables={k: np.concatenate([b.final_observables[k] for b in batches])
                                for k in first.final_observables},
+            max_jump_prob=max(b.max_jump_prob for b in batches),
         )
 
     def record(self, k: int) -> TrajectoryRecord:
@@ -212,69 +225,89 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
         raise KeyError(f"unknown observables for this model: {unknown}")
     funcs = [obs_funcs[name] for name in names]
 
-    c = np.tile(_initial_amplitudes(model, config), (n, 1))
-    work = np.empty_like(c)
+    block = max(1, STATE_BLOCK // (n * model.dim))
+    states = np.empty((block + 1, n, model.dim), dtype=complex)
+    states[0] = _initial_amplitudes(model, config)
     n_rec = n_steps // stride
     times = np.arange(n_rec + 1) * (stride * dt)
     recs = {name: np.empty((n, n_rec + 1)) for name in names}
     for name, f in zip(names, funcs):
-        recs[name][:, 0] = f(c)
+        recs[name][:, 0] = f(states[0])
 
     gamma_dt = model.gamma * dt
     generators = [stream.generator() for stream in streams]
     jumps: list[list[float]] = [[] for _ in streams]
     warned = False
+    max_jump_prob = 0.0
 
-    for i in range(n_steps):
-        s = i % UNIFORM_BLOCK
-        if s == 0:
-            uniforms = np.empty((min(UNIFORM_BLOCK, n_steps - i), n))
-            for k, gen in enumerate(generators):
-                uniforms[:, k] = gen.random(len(uniforms))
-        t = i * dt
+    for start in range(0, n_steps, block):
+        m = min(block, n_steps - start)
+        failure = None
+        try:
+            for s in range(m):
+                i = start + s
+                u = i % UNIFORM_BLOCK
+                if u == 0:
+                    uniforms = np.empty((min(UNIFORM_BLOCK, n_steps - i), n))
+                    for k, gen in enumerate(generators):
+                        uniforms[:, k] = gen.random(len(uniforms))
+                t = i * dt
+                c = model.propagate(t, states[s], dt, out=states[s + 1])
+                n2 = _weight(c)
+                if not n2.min() > ZERO_NORM_THRESHOLD:
+                    # (a collapse of such a row could only leave a smaller norm)
+                    k = int(np.argmin(n2))
+                    raise ZeroNorm(f"state norm underflowed ({n2[k]}) at t={t} "
+                                   f"{_trajectory(streams[k])}")
+                # the jump probability is the norm the no-jump step lost
+                jumped = ()
+                if gamma_dt > 0.0:
+                    jump = 1.0 - n2 > uniforms[u]
+                    if jump.any():
+                        jumped = np.flatnonzero(jump)
+                if len(jumped):
+                    post = model.collapse_amplitudes(c[jumped])
+                    m2 = _weight(post)
+                    if not m2.min() > ZERO_NORM_THRESHOLD:
+                        k = jumped[np.argmin(m2)]
+                        raise ZeroNorm(f"collapsed state norm underflowed at t={t} "
+                                       f"{_trajectory(streams[k])}")
+                    post /= np.sqrt(m2)[:, None]
+                    for k in jumped:
+                        jumps[k].append(t)
+                amplitudes = c.view(np.float64)
+                np.divide(amplitudes, np.sqrt(n2)[:, None], out=amplitudes)
+                if len(jumped):
+                    c[jumped] = post
+        except ZeroNorm as exc:
+            # the guard of this step and of the block's earlier ones comes first
+            failure, m = exc, s + 1
         if gamma_dt > 0.0:
-            w = model.excited_weight(c)
-            if gamma_dt * w.max() > JUMP_PROBABILITY_WARN:
-                _check_guard(gamma_dt * w, t, streams, warn=not warned)
-                warned = True
-        c, work = model.propagate(t, c, dt, out=work), c
-        n2 = _weight(c)
-        if not n2.min() > ZERO_NORM_THRESHOLD:
-            # (a collapse of such a row could only leave a smaller norm)
-            k = int(np.argmin(n2))
-            raise ZeroNorm(f"state norm underflowed ({n2[k]}) at t={t} "
-                           f"{_trajectory(streams[k])}")
-        # the jump probability is the norm the no-jump step lost
-        jumped = ()
-        if gamma_dt > 0.0:
-            jump = 1.0 - n2 > uniforms[s]
-            if jump.any():
-                jumped = np.flatnonzero(jump)
-        if len(jumped):
-            post = model.collapse_amplitudes(c[jumped])
-            m2 = _weight(post)
-            if not m2.min() > ZERO_NORM_THRESHOLD:
-                k = jumped[np.argmin(m2)]
-                raise ZeroNorm(f"collapsed state norm underflowed at t={t} "
-                               f"{_trajectory(streams[k])}")
-            post /= np.sqrt(m2)[:, None]
-            for k in jumped:
-                jumps[k].append(t)
-        amplitudes = c.view(np.float64)
-        np.divide(amplitudes, np.sqrt(n2)[:, None], out=amplitudes)
-        if len(jumped):
-            c[jumped] = post
-        if (i + 1) % stride == 0:
-            j = (i + 1) // stride
+            guard = gamma_dt * model.excited_weight(states[:m])
+            top = guard.max()
+            max_jump_prob = max(max_jump_prob, top)
+            if top > JUMP_PROBABILITY_WARN:
+                for q in np.flatnonzero(guard.max(axis=1) > JUMP_PROBABILITY_WARN):
+                    _check_guard(guard[q], (start + q) * dt, streams, warn=not warned)
+                    warned = True
+        if failure is not None:
+            raise failure
+        # the steps of the block that end on the record grid
+        first = -(start + 1) % stride
+        if first < m:
+            kept = states[first + 1:m + 1:stride]
+            j = (start + first + 1) // stride
             for name, f in zip(names, funcs):
-                recs[name][:, j] = f(c)
+                recs[name][:, j:j + len(kept)] = f(kept).T
+        states[0] = states[m]
 
     return TrajectoryBatch(
         streams=streams,
         times=times,
         observables=recs,
         jumps=jumps,
-        final_observables={name: f(c) for name, f in zip(names, funcs)},
+        final_observables={name: f(states[0]) for name, f in zip(names, funcs)},
+        max_jump_prob=float(max_jump_prob),
     )
 
 

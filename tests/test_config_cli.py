@@ -395,6 +395,9 @@ class TestCli:
         assert manifest["config"]["omega_a"] == 1.0
         header = (out / "trajectory_0000.csv").read_text().splitlines()[0]
         assert header.startswith("t,") and header.endswith(",jump")
+        stats = run_ensemble(preset("fig1").with_overrides(t_max=10.0),
+                             workers=1, keep_curves=True)
+        assert manifest["max_jump_prob"] == stats.trajectories.max_jump_prob > 0.0
         phases = manifest["phase_wall_s"]
         assert set(phases) == {"ensemble", "csv"}
         assert min(phases.values()) >= 0

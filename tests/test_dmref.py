@@ -69,6 +69,9 @@ class TestMasterDetector:
         for t_max, dt, name in BAD_HORIZONS:
             with pytest.raises(ValueError, match=name):
                 dmref.evolve_master_detector(spec, t_max, dt)
+        for record_every in (0, -5):
+            with pytest.raises(ValueError, match="record_every"):
+                dmref.evolve_master_detector(spec, 1.0, 0.05, record_every=record_every)
 
 
 class TestMeasuredDecayDm:
@@ -130,6 +133,9 @@ class TestMeasuredDecayDm:
         for t_max, dt, name in BAD_HORIZONS:
             with pytest.raises(ValueError, match=name):
                 dmref.evolve_measured_decay_dm(res, 5.0, t_max, dt)
+        for record_every in (0, -5):
+            with pytest.raises(ValueError, match="record_every"):
+                dmref.evolve_measured_decay_dm(res, 5.0, 1.0, 0.05, record_every=record_every)
 
 
 def rk4_step(rhs, t, y, dt):

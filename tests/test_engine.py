@@ -50,6 +50,21 @@ def run_detector(amps, dt, t_max=None, n=1, **kw):
     return run_batch(build_model(spec), cfg, streams)
 
 
+class NanRow(DetectorMeasurementModel):
+    """The detector model, whose no-jump step leaves row ``row`` not a
+    number from time ``t_nan`` on."""
+
+    def __init__(self, row, t_nan, **kw):
+        super().__init__(DetectorParams(**kw))
+        self.row, self.t_nan = row, t_nan
+
+    def propagate(self, t, c, dt, out=None):
+        out = super().propagate(t, c, dt, out)
+        if t >= self.t_nan:
+            out[self.row] = np.nan
+        return out
+
+
 def guard_warnings(*args, **kw):
     """The JumpProbabilityWarning messages of one ``run_detector`` batch."""
     with warnings.catch_warnings(record=True) as caught:
@@ -82,6 +97,35 @@ class TestJumpProbability:
     def test_overflow(self):
         with pytest.raises(ProbabilityOverflow, match=r"trajectory=0\)"):
             run_detector([0, 0, 1, 0], dt=0.2)
+
+    @pytest.mark.parametrize("steps", [1, 5, 12])
+    def test_overflow_after_warning(self, steps, monkeypatch):
+        # twelve steps in blocks of 1, 5 and 12: the warning of step 1
+        # (trajectory 0), then the overflow of step 8 (trajectory 7 of twelve)
+        monkeypatch.setattr(engine, "STATE_BLOCK", steps * 12 * 4)
+        spec = ModelSpec("detector", detector=DetectorParams(gamma=6.0, lam=2.0))
+        cfg = RunConfig(spec, dt=0.4, t_max=5.0, n_trajectories=12, master_seed=23)
+        streams = [RngStream(23, k) for k in range(12)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ProbabilityOverflow,
+                               match=r"> 1 at t=3.2 \(master_seed=23, trajectory=7\)$"):
+                run_batch(build_model(spec), cfg, streams)
+        [warning] = [w for w in caught if w.category is JumpProbabilityWarning]
+        assert str(warning.message).startswith(
+            "jump probability reached 0.231 at t=0.4 (master_seed=23, trajectory=0);")
+        assert warning.filename == __file__   # the caller of run_batch
+
+    def test_overflow_before_a_later_nan_row(self):
+        # the guard overflows at t = 0, where every row is fully excited
+        # (gamma*dt = 2), and a later step of the same block leaves row 1 not
+        # a number: the earlier overflow is raised, not ZeroNorm
+        spec = ModelSpec("detector", detector=DetectorParams(gamma=10.0))
+        cfg = RunConfig(spec, dt=0.2, t_max=2.0, n_trajectories=3,
+                        initial_amplitudes=np.array([0, 0, 1, 0], complex))
+        streams = [RngStream(9, k) for k in range(3)]
+        with pytest.raises(ProbabilityOverflow, match=r"at t=0.0 \(master_seed=9, trajectory=0\)"):
+            run_batch(NanRow(row=1, t_nan=0.4, gamma=10.0), cfg, streams)
 
     def test_unnormalized_ratio_form(self):
         # half the weight excited
@@ -119,18 +163,11 @@ class TestCollapse:
 
     def test_nan_row_names_its_trajectory(self):
         # a no-jump step that leaves row 2 of four not a number at t = 0.5
-        class NanRow(DetectorMeasurementModel):
-            def propagate(self, t, c, dt, out=None):
-                out = super().propagate(t, c, dt, out)
-                if t >= 0.5:
-                    out[2] = np.nan
-                return out
-
         spec = ModelSpec("detector", detector=DetectorParams())
         cfg = RunConfig(spec, dt=0.1, t_max=2.0, n_trajectories=4)
         streams = [RngStream(9, k) for k in range(4)]
         with pytest.raises(ZeroNorm, match=r"\(nan\) at t=0.5 \(master_seed=9, trajectory=2\)"):
-            run_batch(NanRow(DetectorParams()), cfg, streams)
+            run_batch(NanRow(row=2, t_nan=0.5), cfg, streams)
 
 
 class TestDeterministicStep:
@@ -405,7 +442,18 @@ class TestBatchInvariance:
             merged = TrajectoryBatch.concatenate(parts)
             for k in range(len(streams)):
                 assert_same_record(merged.record(k), whole.record(k))
-        assert engine.UNIFORM_BLOCK > round(cfg.t_max / cfg.dt)
+            assert merged.max_jump_prob == whole.max_jump_prob
+        # the states kept in blocks of 1 and 3 steps
+        n_steps = round(cfg.t_max / cfg.dt)
+        amplitudes = len(streams) * build_model(cfg.model).for_horizon(cfg.t_max).dim
+        for steps in (1, 3):
+            monkeypatch.setattr(engine, "STATE_BLOCK", steps * amplitudes)
+            blocked = run_batch(build_model(cfg.model), cfg, streams)
+            for k in range(len(streams)):
+                assert_same_record(blocked.record(k), whole.record(k))
+            assert blocked.max_jump_prob == whole.max_jump_prob
+        monkeypatch.undo()
+        assert engine.UNIFORM_BLOCK > n_steps
         monkeypatch.setattr(engine, "UNIFORM_BLOCK", 7)
         blocked = run_batch(build_model(cfg.model), cfg, streams)
         for k in range(len(streams)):

@@ -153,6 +153,17 @@ class TestRunEnsemble:
         with pytest.raises(ProbabilityOverflow, match=failing):
             run_trajectory(build_model(spec), cfg, RngStream(23, 7))
 
+    def test_max_jump_prob_is_the_largest_guard(self):
+        # fig2 records rho_aa, the excited weight, at every step: the guard
+        # of step i is gamma*dt times its value at t_i, over two chunks
+        cfg = preset("fig2").with_overrides(n_trajectories=40)
+        assert cfg.decimation == 1
+        stats = run_ensemble(cfg, workers=2, keep_curves=True)
+        rho_aa = stats.trajectories.observables["rho_aa"]
+        gamma_dt = cfg.model.detector.gamma * cfg.dt
+        assert stats.trajectories.max_jump_prob == gamma_dt * rho_aa[:, :-1].max()
+        assert 0.0 < stats.trajectories.max_jump_prob < 0.1
+
     def test_records_do_not_depend_on_workers(self, batch_case, assert_same_record):
         _, cfg = batch_case
         runs = [run_ensemble(cfg, workers=w, keep_curves=True) for w in (1, 2)]
