@@ -4,9 +4,10 @@ A batch of n trajectories is one (n, dim) complex array, one row per
 trajectory, advanced together on a uniform grid t_n = n*dt.  Each step first
 evolves every row over dt under the non-Hermitian effective Hamiltonian,
 without renormalizing, to c'.  Every model's generator is constant in its
-frame, so ``model.propagate`` steps exactly, with its cached
-``expm(K dt)``; a band model first shortens its chain to the run's horizon
-(``model.for_horizon``).  The collapse probability of a row's step is the
+frame, so ``model.propagate`` steps exactly, with its cached factor
+exp(K dt); a band model first shortens its chain to the run's horizon
+(``model.for_horizon``), and an initial state given in the config is read
+by ``model.own_amplitudes``.  The collapse probability of a row's step is the
 norm that this no-jump evolution lost,
 ``p = 1 - |c'|^2`` (Dalibard, Castin & Molmer, PRL 68, 580, 1992; Plenio &
 Knight, Rev. Mod. Phys. 70, 101, 1998).  Every trajectory draws one
@@ -168,9 +169,7 @@ class TrajectoryBatch:
 
 def _initial_amplitudes(model, config) -> np.ndarray:
     if getattr(config, "initial_amplitudes", None) is not None:
-        c = np.asarray(config.initial_amplitudes, dtype=complex).copy()
-        if c.shape != (model.dim,):
-            raise ValueError(f"initial amplitudes must have shape ({model.dim},)")
+        c = model.own_amplitudes(np.asarray(config.initial_amplitudes, dtype=complex))
     else:
         c = model.initial_amplitudes().astype(complex)
     return _renormalize(c)

@@ -4,10 +4,13 @@ A state is an array ``c`` of complex amplitudes over the model's basis
 (ordered as below).  Each model supplies:
 
 * ``initial_amplitudes()`` -- the default initial state,
+* ``own_amplitudes(c)``    -- an initial state given over the basis of the
+  model built without a horizon, over this model's basis,
 * ``propagate(t, c, dt)``  -- the exact no-jump step from t to t + dt:
   every model's non-Hermitian effective generator K is constant in its
-  frame, so the step is one cached ``expm(K dt)`` (between two phase maps
-  for the driven model, whose frame rotates),
+  frame, so the step is one cached factor exp(K dt): scipy's ``expm`` for
+  the 4-level models (between two phase maps for the driven model, whose
+  frame rotates), a Taylor series on K's band for the band models,
 * ``derivative(t, c)``     -- the action of the generator at time t, as
   the time derivative of the amplitude array,
 * ``excited_weight(c)``    -- total probability in the detector-excited
@@ -54,8 +57,8 @@ Models
 
 Basis ordering follows (system level, mode or chain site, detector level)
 with ``e`` before ``g`` and ``a`` before ``b``.  States are stored densely;
-the band models keep their step operators as bands of diagonals
-(``_band``).
+the band models build K and its step factors as bands of diagonals
+(``_band_expm``).
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import block_diag, expm
 
 
@@ -243,25 +245,65 @@ def _detector_phase_rates(omega_d: float, gamma: float) -> tuple[complex, comple
 _NEGLIGIBLE = np.finfo(float).eps / 1024
 
 
-def _band(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """``m`` without its parts below _NEGLIGIBLE, as the half-width h of the
-    band of diagonals that holds the rest and the (rows, 2h + 1) array whose
-    row k is m[k, k - h : k + h + 1], zero beyond the edges of m.
+def _trim(band: np.ndarray) -> np.ndarray:
+    """``band`` without its parts below _NEGLIGIBLE, cut to the half-width
+    of the diagonals that hold the rest.
 
-    The exact propagator of a chain over one step falls off faster than
-    exponentially away from the diagonal: at the presets' dt = 0.1 its band
-    is 17 amplitudes wide on each side, a sixth of a row.  Dropping the
-    parts below _NEGLIGIBLE also drops those below the smallest normal float,
+    A band of half-width h is a (rows, 2h + 1) array whose row k is
+    m[k, k - h : k + h + 1], zero beyond the edges of m.  The exact
+    propagator of a chain over one step falls off faster than exponentially
+    away from the diagonal: at the presets' dt = 0.1 its band is 17
+    amplitudes wide on each side, a sixth of a row.  Dropping the parts
+    below _NEGLIGIBLE also drops those below the smallest normal float,
     whose arithmetic is several times slower.
     """
-    m = m.copy()
-    for part in (m.real, m.imag):
+    band = band.copy()
+    for part in (band.real, band.imag):
         part[np.abs(part) < _NEGLIGIBLE] = 0.0
-    rows, cols = np.nonzero(m)
-    h = int(np.max(np.abs(rows - cols), initial=0))
-    diagonal = np.arange(len(m))
-    windows = sliding_window_view(np.pad(m, ((0, 0), (h, h))), 2 * h + 1, axis=1)
-    return windows[diagonal, diagonal], h
+    mid = band.shape[1] // 2
+    h = int(np.max(np.abs(np.flatnonzero(band.any(axis=0)) - mid), initial=0))
+    return np.ascontiguousarray(band[:, mid - h:mid + h + 1])
+
+
+def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The band of the product of the matrices whose bands are ``a`` and
+    ``b``: one pass over the diagonals of ``a``."""
+    ha, n = a.shape[1] // 2, len(a)
+    shifted = np.zeros((n + 2 * ha, b.shape[1]), dtype=complex)
+    shifted[ha:ha + n] = b
+    out = np.zeros((n, a.shape[1] + b.shape[1] - 1), dtype=complex)
+    for j in range(a.shape[1]):
+        # m_a[k, k + j - ha] times row k + j - ha of m_b
+        out[:, j:j + b.shape[1]] += a[:, j, None] * shifted[j:j + n]
+    return out
+
+
+def _band_expm(band: np.ndarray) -> np.ndarray:
+    """exp of the matrix whose band is ``band``, as a band trimmed by
+    ``_trim``.
+
+    The matrix is scaled by 2^-s so that its row-sum norm is at most 1, its
+    Taylor series is summed until a term's row-sum norm falls below
+    _NEGLIGIBLE (the rest then adds less than that to any entry), and the
+    sum is squared s times, each result trimmed (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488, 2011).  Each product is a band product, so the
+    cost is linear in the number of rows.
+    """
+    norm = np.abs(band).sum(axis=1).max()
+    s = int(np.ceil(np.log2(norm))) if norm > 1.0 else 0
+    a = band / 2.0 ** s
+    term = total = np.ones((len(band), 1), dtype=complex)
+    i = 0
+    while np.abs(term).sum(axis=1).max() >= _NEGLIGIBLE:
+        i += 1
+        term = _band_product(a, term) / i
+        grow = (term.shape[1] - total.shape[1]) // 2
+        total, narrower = term.copy(), total
+        total[:, grow:grow + narrower.shape[1]] += narrower
+    total = _trim(total)
+    for _ in range(s):
+        total = _trim(_band_product(total, total))
+    return total
 
 
 def _weight(c: np.ndarray) -> np.ndarray:
@@ -284,7 +326,7 @@ class _MonitoredModel:
     the ground rows.  Subclasses give K (``_generator``) and its propagator
     for a step size (``_factor``), each in the form in which ``_act``
     applies it to the rows of amplitudes: ``derivative`` applies K and
-    ``propagate`` ``expm(K dt)``, computed once per step size.
+    ``propagate`` exp(K dt), computed once per step size.
     """
 
     def __init__(self, detector: DetectorParams, excited_phase: complex = 0.0):
@@ -312,6 +354,13 @@ class _MonitoredModel:
         """The model that runs up to ``t_max``: this one, whose basis does
         not depend on the horizon."""
         return self
+
+    def own_amplitudes(self, c: np.ndarray) -> np.ndarray:
+        """``c``, a state over the basis of this model built without a
+        horizon, over this model's basis, which is the same."""
+        if c.shape != (self.dim,):
+            raise ValueError(f"initial amplitudes must have shape ({self.dim},)")
+        return c
 
 
 class _FourLevelModel(_MonitoredModel):
@@ -461,7 +510,9 @@ class MeasuredDecayModel(_MonitoredModel):
     chain is built on first use.  In the frame rotating at omega_a the
     generator is constant, K = -i H_chain x 1_detector plus the detector
     blocks on every row (lam on the g rows for ground coupling, on the e
-    row for excited coupling), so a no-jump step is exact.
+    row for excited coupling), so a no-jump step is exact.  K is held as
+    its band of half-width 2, and each step factor as the band that holds
+    it above _NEGLIGIBLE.
     """
 
     def __init__(self, reservoir: ReservoirSpec, detector: DetectorParams,
@@ -470,6 +521,7 @@ class MeasuredDecayModel(_MonitoredModel):
         self.reservoir = reservoir
         self.sites = reservoir.chain_sites(t_max)
         self.dim = 2 * (self.sites + 1)
+        self._windows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def for_horizon(self, t_max: float):
         """The model on the chain that a run up to ``t_max`` needs."""
@@ -480,39 +532,65 @@ class MeasuredDecayModel(_MonitoredModel):
         return model
 
     @functools.cached_property
-    def _conj_k(self) -> np.ndarray:
+    def _generator(self) -> np.ndarray:
+        # K as a band of half-width 2, built from the chain's diagonal and
+        # hopping: the detector blocks at offsets -1..1 within each row's
+        # (a, b) pair, the chain at 0 and +-2.  Conjugated, because
+        # np.vecdot conjugates it back.
         ue, ug = self.detector_blocks
-        k = block_diag(ue, *[ug] * self.sites)
-        k -= 1j * np.kron(self.reservoir.chain(self.sites), np.eye(2))
-        return k.conj()     # np.vecdot conjugates it back
+        blocks = np.array([ue] + [ug] * self.sites)
+        chain = self.reservoir.chain(self.sites)
+        k = np.zeros((self.dim, 5), dtype=complex)
+        k[0::2, 2:4] = blocks[:, 0]
+        k[1::2, 1:3] = blocks[:, 1]
+        k[:, 2] -= 1j * np.repeat(np.diag(chain), 2)
+        hop = -1j * np.repeat(np.diag(chain, 1), 2)
+        k[:-2, 4] = hop
+        k[2:, 0] = hop
+        return k.conj()
 
-    @functools.cached_property
-    def _generator(self):
-        return _band(self._conj_k)
+    def _factor(self, dt: float) -> np.ndarray:
+        # exp(conj(K) dt) = conj(exp(K dt)), rounded the same way
+        return _band_expm(self._generator * dt)
 
-    def _factor(self, dt: float):
-        return _band(expm(self._conj_k * dt))
-
-    @staticmethod
-    def _act(op, c, out=None):
+    def _act(self, band, c, out=None):
         # Amplitude k of a row is the dot product of row k of the band with
         # the window of that row around k.  Its rounding does not depend on
         # the number of rows, as that of a matrix product does, and it runs
         # on one thread, where a BLAS matrix-vector product spawns threads
-        # that crowd out the other workers of an ensemble.
-        band, h = op
-        padded = np.zeros(c.shape[:-1] + (c.shape[-1] + 2 * h,), dtype=complex)
-        padded[..., h:padded.shape[-1] - h] = c
-        # (as_strided and sliding_window_view make the same view, in five and
-        # fifteen times the time)
-        windows = np.ndarray(c.shape + (2 * h + 1,), complex, padded, 0,
-                             padded.strides + padded.strides[-1:])
+        # that crowd out the other workers of an ensemble.  The rows are
+        # copied into a buffer with zero margins, kept with its window view
+        # for each shape of c and half-width h.
+        h = band.shape[1] // 2
+        key = (c.shape, h)
+        if key not in self._windows:
+            padded = np.zeros(c.shape[:-1] + (c.shape[-1] + 2 * h,), dtype=complex)
+            # (as_strided and sliding_window_view make the same view, in
+            # five and fifteen times the time)
+            self._windows[key] = padded, np.ndarray(
+                c.shape + (2 * h + 1,), complex, padded, 0,
+                padded.strides + padded.strides[-1:])
+        padded, windows = self._windows[key]
+        padded[..., h:h + c.shape[-1]] = c
         return np.vecdot(band, windows, out=out)
 
     def initial_amplitudes(self) -> np.ndarray:
         c = np.zeros(self.dim, dtype=complex)
         c[1] = 1.0  # |e,b>
         return c
+
+    def own_amplitudes(self, c: np.ndarray) -> np.ndarray:
+        """``c``, a state over |e,a>, |e,b> and |g,k,a>, |g,k,b> per mode k,
+        on this model's chain; its modes must be empty."""
+        star = 2 * (self.reservoir.n_modes + 1)
+        if c.shape != (star,):
+            raise ValueError(f"initial amplitudes must have shape ({star},)")
+        if np.any(c[2:]):
+            raise ValueError("initial amplitudes must leave every band mode empty: "
+                             "the chain is exact only for a band that starts empty")
+        out = np.zeros(self.dim, dtype=complex)
+        out[:2] = c[:2]
+        return out
 
     def excited_weight(self, c: np.ndarray) -> np.ndarray:
         return _weight(c[..., 0::2])

@@ -196,6 +196,27 @@ class TestRunEnsemble:
             np.concatenate([first.observables["rho_ee"], second.observables["rho_ee"]]),
             whole.observables["rho_ee"])
 
+    def test_band_start_over_the_modes(self):
+        # a band model's initial state is given over its n_modes modes, the
+        # basis of build_model's model, whatever chain the run steps
+        cfg = preset("fig10").with_overrides(n_trajectories=1, t_max=5.0)
+        c = build_model(cfg.model).initial_amplitudes()
+        assert c.shape == (2004,)
+        given = run_ensemble(cfg.with_overrides(initial_amplitudes=c), workers=1,
+                             keep_curves=True)
+        default = run_ensemble(cfg, workers=1, keep_curves=True)
+        np.testing.assert_array_equal(given.trajectories.observables["rho_ee"],
+                                      default.trajectories.observables["rho_ee"])
+
+    def test_band_start_with_a_mode_excited_rejected(self):
+        cfg = preset("fig10").with_overrides(n_trajectories=1, t_max=5.0)
+        c = build_model(cfg.model).initial_amplitudes()
+        c[1] = c[7] = np.sqrt(0.5)
+        with pytest.raises(ValueError, match="band that starts empty"):
+            run_ensemble(cfg.with_overrides(initial_amplitudes=c), workers=1)
+        with pytest.raises(ValueError, match=r"shape \(2004,\)"):
+            run_ensemble(cfg.with_overrides(initial_amplitudes=c[:20]), workers=1)
+
     def test_std_error_scales_with_ensemble_size(self):
         cfg_small = self.small_config(n=250, t_max=20.0)
         cfg_large = self.small_config(n=1000, t_max=20.0)

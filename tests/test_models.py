@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from zenosim.models import (
+    _NEGLIGIBLE,
     DetectorMeasurementModel,
     DetectorParams,
     DriveParams,
@@ -258,6 +261,85 @@ class TestChain:
             assert (model.sites, short.sites, short.dim) == (101, 20, 42)
             assert short.for_horizon(30.0) is short
             assert model.for_horizon(1e4) is model
+
+
+def dense_generator(model):
+    """The band model's K as a dense matrix, built from its blocks."""
+    ue, ug = model.detector_blocks
+    k = block_diag(ue, *[ug] * model.sites)
+    return k - 1j * np.kron(model.reservoir.chain(model.sites), np.eye(2))
+
+
+def dense(band):
+    """The matrix that a band of diagonals holds (see models._trim), checking
+    that the band is zero beyond the matrix's edges."""
+    n, h = len(band), band.shape[1] // 2
+    m = np.zeros((n, n + 2 * h), dtype=complex)
+    for k in range(n):
+        m[k, k:k + 2 * h + 1] = band[k]
+    np.testing.assert_array_equal(m[:, :h], 0.0)
+    np.testing.assert_array_equal(m[:, n + h:], 0.0)
+    return m[:, h:n + h]
+
+
+def trimmed_half_width(m):
+    """Half-width of the band that holds ``m`` above _NEGLIGIBLE."""
+    rows, cols = np.nonzero((np.abs(m.real) >= _NEGLIGIBLE) | (np.abs(m.imag) >= _NEGLIGIBLE))
+    return int(np.max(np.abs(rows - cols), initial=0))
+
+
+class TestBandFactor:
+    """The band models build K and its step factors on their band."""
+
+    @pytest.mark.parametrize("slope", [0.0, 2.0])
+    @pytest.mark.parametrize("target", ["ground", "excited", "free"])
+    def test_factor_matches_dense_expm(self, slope, target):
+        res = ReservoirSpec(slope=slope)
+        model = (FreeDecayModel(res, t_max=300.0) if target == "free" else
+                 MeasuredDecayModel(res, DetectorParams(coupling_target=target), t_max=300.0))
+        k = dense_generator(model)
+        np.testing.assert_array_equal(dense(model._generator).conj(), k)
+        for dt in (0.05, 0.1, 0.4, 1.0):
+            band = model._factor(dt)
+            exact = expm(k * dt)
+            assert band.shape[1] // 2 == trimmed_half_width(exact), dt
+            # stored conjugated, for np.vecdot
+            assert np.max(np.abs(dense(band).conj() - exact)) <= 1e-14, dt
+
+    def test_reused_buffer_keeps_batches_apart(self):
+        # one instance propagating batches of 1, 7 and 1 rows in turn gives
+        # the bits of a fresh instance for each
+        res = ReservoirSpec(n_modes=101, half_width=0.5, g0=0.01, slope=1.5)
+        det = DetectorParams()
+        model = MeasuredDecayModel(res, det, t_max=30.0)
+        for rows in (1, 7, 1):
+            c = np.array([random_state(model.dim) for _ in range(rows)])
+            fresh = MeasuredDecayModel(res, det, t_max=30.0)
+            np.testing.assert_array_equal(model.propagate(0.0, c, 0.1),
+                                          fresh.propagate(0.0, c, 0.1))
+            np.testing.assert_array_equal(model.derivative(0.0, c[0]),
+                                          fresh.derivative(0.0, c[0]))
+
+    def test_derivative_is_the_dense_generator(self):
+        model = MeasuredDecayModel(ReservoirSpec(n_modes=41, g0=0.01, slope=2.0),
+                                   DetectorParams())
+        assert model.sites == 41
+        c = random_state(model.dim)
+        np.testing.assert_allclose(model.derivative(0.0, c), dense_generator(model) @ c,
+                                   rtol=0, atol=1e-15)
+
+    def test_derivative_of_the_whole_band_stays_small(self):
+        # the 1001-mode band without a horizon: 2004 amplitudes, whose dense
+        # K would take 64 MB
+        model = MeasuredDecayModel(ReservoirSpec(), DetectorParams())
+        c = random_state(model.dim)
+        tracemalloc.start()
+        try:
+            model.derivative(0.0, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestReservoirSpec:
