@@ -5,10 +5,10 @@ trajectory, advanced together on a uniform grid t_n = n*dt.  Each step first
 evolves every row over dt under the non-Hermitian effective Hamiltonian,
 without renormalizing, to c'.  Every model's generator is constant in its
 frame, so ``model.propagate`` steps exactly, with its cached factor
-exp(K dt); a band model first shortens its chain to the run's horizon
-(``model.for_horizon``), and an initial state given in the config is read
-by ``model.own_amplitudes``.  The collapse probability of a row's step is the
-norm that this no-jump evolution lost,
+exp(K dt), summed on K's band for every model; a band model first shortens
+its chain to the run's horizon (``model.for_horizon``), and an initial state
+given in the config is read by ``model.own_amplitudes``.  The collapse
+probability of a row's step is the norm that this no-jump evolution lost,
 ``p = 1 - |c'|^2`` (Dalibard, Castin & Molmer, PRL 68, 580, 1992; Plenio &
 Knight, Rev. Mod. Phys. 70, 101, 1998).  Every trajectory draws one
 uniform random number ``r`` per step, also when Gamma = 0: if ``p > r`` the

@@ -8,9 +8,9 @@ A state is an array ``c`` of complex amplitudes over the model's basis
   model built without a horizon, over this model's basis,
 * ``propagate(t, c, dt)``  -- the exact no-jump step from t to t + dt:
   every model's non-Hermitian effective generator K is constant in its
-  frame, so the step is one cached factor exp(K dt): scipy's ``expm`` for
-  the 4-level models (between two phase maps for the driven model, whose
-  frame rotates), a Taylor series on K's band for the band models,
+  frame, so the step is one cached factor exp(K dt), a Taylor series on
+  K's band (applied between two phase maps by the driven model, whose
+  frame rotates),
 * ``derivative(t, c)``     -- the action of the generator at time t, as
   the time derivative of the amplitude array,
 * ``excited_weight(c)``    -- total probability in the detector-excited
@@ -56,9 +56,12 @@ Models
     state stays in the detector's b level and never jumps.
 
 Basis ordering follows (system level, mode or chain site, detector level)
-with ``e`` before ``g`` and ``a`` before ``b``.  States are stored densely;
-the band models build K and its step factors as bands of diagonals
-(``_band_expm``).
+with ``e`` before ``g`` and ``a`` before ``b``.  Every model gives its
+system Hamiltonian as one real symmetric tridiagonal pair (diagonal,
+hopping); the 4-level models are the band models' case of one ground row.
+States are stored densely; every model builds K and its step factors as
+bands of diagonals (``_band_expm``), which the 4-level models apply as
+dense 4x4 matrices.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, expm
 
 
 def _require_finite(params, *names) -> None:
@@ -219,6 +221,8 @@ class ReservoirSpec:
         g0 is rescaled with the square root of the spacing ratio so the
         golden-rule rate is preserved.
         """
+        if n_modes < 2:
+            raise ValueError("n_modes must be >= 2")
         new_spacing = 2.0 * self.half_width / (n_modes - 1)
         scale = np.sqrt(new_spacing / self.mode_spacing)
         return ReservoirSpec(
@@ -228,15 +232,6 @@ class ReservoirSpec:
             slope=self.slope,
             omega_a=self.omega_a,
         )
-
-
-def _detector_phase_rates(omega_d: float, gamma: float) -> tuple[complex, complex]:
-    """Per-slot rates of the detector sector.
-
-    Detector-excited slots evolve with -i*omega_d/2 - gamma/2, ground slots
-    with +i*omega_d/2.
-    """
-    return (-0.5j * omega_d - 0.5 * gamma, +0.5j * omega_d)
 
 
 # Parts of a step operator below this, a thousandth of the rounding unit,
@@ -316,242 +311,74 @@ def _weight(c: np.ndarray) -> np.ndarray:
 
 
 class _MonitoredModel:
-    """The detector part shared by the monitored models.
+    """What the monitored models share: K, its step factors, the jump and the
+    observables of the system and the detector.
 
-    The constant generator K acts on each system row (a system level, or a
-    chain site with the system in g) as a 2x2 block over the detector
-    levels (a, b): splitting omega_d/2 and decay gamma/2 on every row, the
-    coupling lam on the monitored rows, and a constant row phase.
+    A model's system is a set of rows, the excited level first, then the
+    ground level or the chain's sites with the system in g.  It supplies
+    their Hamiltonian in its frame as one real symmetric tridiagonal pair,
+    ``_hamiltonian() -> (diagonal, hopping)``.  The constant generator K is
+    -i times that Hamiltonian on each detector level plus a 2x2 block over
+    the detector levels (a, b) on every row: splitting omega_d/2 and decay
+    gamma/2 on every row, the coupling lam on the monitored rows.
     ``detector_blocks`` holds the block of the excited row and the block of
-    the ground rows.  Subclasses give K (``_generator``) and its propagator
-    for a step size (``_factor``), each in the form in which ``_act``
+    the ground rows.  K is built as its band of half-width 2 (``_band``) and
+    each step factor exp(K dt) as the band that ``_band_expm`` gives, once
+    per step size.  ``_operator`` puts each in the form in which ``_act``
     applies it to the rows of amplitudes: ``derivative`` applies K and
-    ``propagate`` exp(K dt), computed once per step size.
+    ``propagate`` exp(K dt).
     """
 
-    def __init__(self, detector: DetectorParams, excited_phase: complex = 0.0):
+    def __init__(self, detector: DetectorParams):
         self.detector = detector
         self.gamma = detector.gamma
-        ra, rb = _detector_phase_rates(detector.omega_d, detector.gamma)
+        # detector-excited slots evolve with -i omega_d/2 - gamma/2, ground
+        # slots with +i omega_d/2
+        ra, rb = -0.5j * detector.omega_d - 0.5 * detector.gamma, 0.5j * detector.omega_d
         lam = -1j * detector.lam
         on_e, on_g = (0.0, lam) if detector.coupling_target == "ground" else (lam, 0.0)
-        self.detector_blocks = (
-            np.array([[excited_phase + ra, on_e], [on_e, excited_phase + rb]]),
-            np.array([[ra, on_g], [on_g, rb]]),
-        )
-        self._factors: dict[float, object] = {}
-
-    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
-        return self._act(self._generator, c)
-
-    def propagate(self, t: float, c: np.ndarray, dt: float, out=None) -> np.ndarray:
-        u = self._factors.get(dt)
-        if u is None:
-            u = self._factors[dt] = self._factor(dt)
-        return self._act(u, c, out)
-
-    def for_horizon(self, t_max: float):
-        """The model that runs up to ``t_max``: this one, whose basis does
-        not depend on the horizon."""
-        return self
-
-    def own_amplitudes(self, c: np.ndarray) -> np.ndarray:
-        """``c``, a state over the basis of this model built without a
-        horizon, over this model's basis, which is the same."""
-        if c.shape != (self.dim,):
-            raise ValueError(f"initial amplitudes must have shape ({self.dim},)")
-        return c
-
-
-class _FourLevelModel(_MonitoredModel):
-    """Basis |e,a>, |e,b>, |g,a>, |g,b>: one excited and one ground row."""
-
-    dim = 4
-
-    def __init__(self, detector: DetectorParams, excited_phase: complex = 0.0):
-        super().__init__(detector, excited_phase)
-        self._generator = self._operator(self.detector_blocks)
-
-    def _factor(self, dt: float) -> np.ndarray:
-        return self._operator([expm(k * dt) for k in self.detector_blocks])
-
-    @staticmethod
-    def _operator(blocks):
-        # transposed, so that it acts from the right on rows of amplitudes
-        return np.ascontiguousarray(block_diag(*blocks).T)
-
-    @staticmethod
-    def _act(op_t, c, out=None):
-        return np.matmul(c, op_t, out=out)
-
-    def excited_weight(self, c: np.ndarray) -> np.ndarray:
-        return _weight(c[..., 0::2])
-
-    def collapse_amplitudes(self, c: np.ndarray) -> np.ndarray:
-        # sigma_- on the detector: a -> b, previous b amplitudes discarded
-        out = np.zeros_like(c)
-        out[..., 1] = c[..., 0]
-        out[..., 3] = c[..., 2]
-        return out
-
-    def observables(self):
-        return _four_level_observables()
-
-
-class DetectorMeasurementModel(_FourLevelModel):
-    """Unperturbed two-level system continuously monitored by the detector.
-
-    Basis order: |e,a>, |e,b>, |g,a>, |g,b>.  Amplitude equations (ground
-    coupling):
-
-        d c_ea/dt = -i (omega_a + omega_d/2 - i gamma/2) c_ea
-        d c_eb/dt = -i (omega_a - omega_d/2) c_eb
-        d c_ga/dt = -i lam c_gb - i (omega_d/2) c_ga - (gamma/2) c_ga
-        d c_gb/dt = -i lam c_ga + i (omega_d/2) c_gb
-
-    For excited coupling the lam terms move symmetrically to the e rows.
-    The whole generator is constant, so a no-jump step is exact.
-    """
-
-    def __init__(self, detector: DetectorParams, omega_a: float = 1.0):
-        super().__init__(detector, excited_phase=-1j * omega_a)
-        self.omega_a = omega_a
-
-    def initial_amplitudes(self) -> np.ndarray:
-        # superposition (|e> + |g>)/sqrt(2), detector in its ground level
-        return np.array([0, 1, 0, 1], dtype=complex) / np.sqrt(2)
-
-    default_observables = ("rho_aa", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im")
-
-
-class RabiMeasuredModel(_FourLevelModel):
-    """Driven two-level system monitored by the detector, interaction picture.
-
-    Basis order: |e,a>, |e,b>, |g,a>, |g,b>.  The drive couples e and g rows
-    with the same detector index through (omega_r/2) exp(+/- i detuning t);
-    detector sector and coupling as in DetectorMeasurementModel with the
-    system phase absorbed into the picture.  In the frame rotating at the
-    detuning, c = p(t) c~ with p = exp(i detuning t) on the e rows, the
-    generator K~ is constant, so the step c -> p(t + dt) expm(K~ dt) p(t)^-1 c
-    is exact; the amplitudes stay in the interaction picture.
-    """
-
-    def __init__(self, detector: DetectorParams, drive: DriveParams):
-        super().__init__(detector)
-        self.drive = drive
-        d = 0.5j * drive.omega_r
-        self._rotating = block_diag(*self.detector_blocks) + np.kron(
-            [[-1j * drive.detuning, d], [d, 0]], np.eye(2))
-
-    def initial_amplitudes(self) -> np.ndarray:
-        # system in the ground level, detector in its ground level
-        return np.array([0, 0, 0, 1], dtype=complex)
-
-    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
-        half_wr = 0.5j * self.drive.omega_r
-        ph = cmath.exp(1j * self.drive.detuning * t)
-        out = self._act(self._generator, c)
-        out[..., :2] += (half_wr * ph) * c[..., 2:]     # e rows: + detuning phase
-        out[..., 2:] += (half_wr / ph) * c[..., :2]
-        return out
-
-    def propagate(self, t: float, c: np.ndarray, dt: float, out=None) -> np.ndarray:
-        u = self._factors.get(dt)
-        if u is None:
-            u = self._factors[dt] = np.ascontiguousarray(expm(self._rotating * dt).T)
-        # p(t)^-1 on the rows of the transposed factor, p(t + dt) on its columns
-        p, q = (cmath.exp(1j * self.drive.detuning * s) for s in (t, t + dt))
-        frame = np.array([[q / p, q / p, 1 / p, 1 / p]] * 2 + [[q, q, 1, 1]] * 2)
-        return self._act(u * frame, c, out)
-
-    default_observables = ("rho_gg", "rho_ee", "rho_aa")
-
-
-def _four_level_observables():
-    def rho_aa(c):
-        return _weight(c[..., 0::2])
-
-    def rho_bb(c):
-        return _weight(c[..., 1::2])
-
-    def rho_ee(c):
-        return _weight(c[..., :2])
-
-    def rho_gg(c):
-        return _weight(c[..., 2:])
-
-    def rho_eg(c):
-        # c_ea conj(c_ga) + c_eb conj(c_gb)
-        return np.vecdot(c[..., 2:], c[..., :2])
-
-    def rho_eg_re(c):
-        return rho_eg(c).real
-
-    def rho_eg_im(c):
-        return rho_eg(c).imag
-
-    return {
-        "rho_aa": rho_aa,
-        "rho_bb": rho_bb,
-        "rho_ee": rho_ee,
-        "rho_gg": rho_gg,
-        "rho_eg_re": rho_eg_re,
-        "rho_eg_im": rho_eg_im,
-    }
-
-
-class MeasuredDecayModel(_MonitoredModel):
-    """Decaying system with the detector attached, single-excitation sector.
-
-    Basis order: |e,a>, |e,b>, then |g,j,a>, |g,j,b> per site j of the
-    band's Lanczos chain, which replaces the modes: ``sites`` of them, all
-    n_modes for a model built without a horizon, and as many as a run to
-    ``t_max`` needs for one built with it or through ``for_horizon``.  The
-    chain is built on first use.  In the frame rotating at omega_a the
-    generator is constant, K = -i H_chain x 1_detector plus the detector
-    blocks on every row (lam on the g rows for ground coupling, on the e
-    row for excited coupling), so a no-jump step is exact.  K is held as
-    its band of half-width 2, and each step factor as the band that holds
-    it above _NEGLIGIBLE.
-    """
-
-    def __init__(self, reservoir: ReservoirSpec, detector: DetectorParams,
-                 t_max: float | None = None):
-        super().__init__(detector)
-        self.reservoir = reservoir
-        self.sites = reservoir.chain_sites(t_max)
-        self.dim = 2 * (self.sites + 1)
+        self.detector_blocks = (np.array([[ra, on_e], [on_e, rb]]),
+                                np.array([[ra, on_g], [on_g, rb]]))
+        self._factors: dict[float, np.ndarray] = {}
         self._windows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def for_horizon(self, t_max: float):
-        """The model on the chain that a run up to ``t_max`` needs."""
-        if self.reservoir.chain_sites(t_max) == self.sites:
-            return self
-        model = object.__new__(type(self))
-        MeasuredDecayModel.__init__(model, self.reservoir, self.detector, t_max)
-        return model
-
-    @functools.cached_property
-    def _generator(self) -> np.ndarray:
-        # K as a band of half-width 2, built from the chain's diagonal and
-        # hopping: the detector blocks at offsets -1..1 within each row's
-        # (a, b) pair, the chain at 0 and +-2.  Conjugated, because
-        # np.vecdot conjugates it back.
+    def _band(self, diagonal: np.ndarray, hopping: np.ndarray) -> np.ndarray:
+        # K of the system Hamiltonian (diagonal, hopping) as a band of
+        # half-width 2: the detector blocks at offsets -1..1 within each
+        # row's (a, b) pair, the Hamiltonian at 0 and +-2.  Conjugated,
+        # because np.vecdot conjugates it back.
         ue, ug = self.detector_blocks
-        blocks = np.array([ue] + [ug] * self.sites)
-        chain = self.reservoir.chain(self.sites)
-        k = np.zeros((self.dim, 5), dtype=complex)
+        blocks = np.array([ue] + [ug] * (len(diagonal) - 1))
+        k = np.zeros((2 * len(diagonal), 5), dtype=complex)
         k[0::2, 2:4] = blocks[:, 0]
         k[1::2, 1:3] = blocks[:, 1]
-        k[:, 2] -= 1j * np.repeat(np.diag(chain), 2)
-        hop = -1j * np.repeat(np.diag(chain, 1), 2)
+        k[:, 2] -= 1j * np.repeat(diagonal, 2)
+        hop = -1j * np.repeat(hopping, 2)
         k[:-2, 4] = hop
         k[2:, 0] = hop
         return k.conj()
 
-    def _factor(self, dt: float) -> np.ndarray:
+    @functools.cached_property
+    def _k(self) -> np.ndarray:
+        return self._band(*self._hamiltonian())
+
+    @functools.cached_property
+    def _generator(self):
+        return self._operator(self._k)
+
+    def _factor(self, dt: float):
         # exp(conj(K) dt) = conj(exp(K dt)), rounded the same way
-        return _band_expm(self._generator * dt)
+        return self._operator(_band_expm(self._k * dt))
+
+    def _step(self, dt: float):
+        """The step factor for ``dt``, computed on first use."""
+        u = self._factors.get(dt)
+        if u is None:
+            u = self._factors[dt] = self._factor(dt)
+        return u
+
+    def _operator(self, band: np.ndarray):
+        return band
 
     def _act(self, band, c, out=None):
         # Amplitude k of a row is the dot product of row k of the band with
@@ -574,6 +401,189 @@ class MeasuredDecayModel(_MonitoredModel):
         padded[..., h:h + c.shape[-1]] = c
         return np.vecdot(band, windows, out=out)
 
+    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
+        return self._act(self._generator, c)
+
+    def propagate(self, t: float, c: np.ndarray, dt: float, out=None) -> np.ndarray:
+        return self._act(self._step(dt), c, out)
+
+    def for_horizon(self, t_max: float):
+        """The model that runs up to ``t_max``: this one, whose basis does
+        not depend on the horizon."""
+        return self
+
+    def own_amplitudes(self, c: np.ndarray) -> np.ndarray:
+        """``c``, a state over the basis of this model built without a
+        horizon, over this model's basis, which is the same."""
+        if c.shape != (self.dim,):
+            raise ValueError(f"initial amplitudes must have shape ({self.dim},)")
+        return c
+
+    def excited_weight(self, c: np.ndarray) -> np.ndarray:
+        return _weight(c[..., 0::2])
+
+    def collapse_amplitudes(self, c: np.ndarray) -> np.ndarray:
+        # sigma_- on the detector: a -> b, previous b amplitudes discarded
+        out = np.zeros_like(c)
+        out[..., 1::2] = c[..., 0::2]
+        return out
+
+    def observables(self):
+        def rho_ee(c):
+            return _weight(c[..., :2])
+
+        def rho_gg(c):
+            return _weight(c[..., 2:])
+
+        def rho_aa(c):
+            return _weight(c[..., 0::2])
+
+        return {"rho_ee": rho_ee, "rho_gg": rho_gg, "rho_aa": rho_aa}
+
+
+class _FourLevelModel(_MonitoredModel):
+    """Basis |e,a>, |e,b>, |g,a>, |g,b>: one excited and one ground row.
+
+    K and its step factors are applied as dense 4x4 matrices: on rows of 4
+    amplitudes ``np.matmul`` takes a third to a quarter of the time of the
+    band's windowed products (for 50 to 100 rows).
+    """
+
+    dim = 4
+
+    def _operator(self, band):
+        # the band's action on the unit rows: the transposed matrix, which
+        # np.matmul applies from the right to rows of amplitudes
+        return _MonitoredModel._act(self, band, np.eye(4, dtype=complex))
+
+    @staticmethod
+    def _act(op_t, c, out=None):
+        return np.matmul(c, op_t, out=out)
+
+    def observables(self):
+        def rho_bb(c):
+            return _weight(c[..., 1::2])
+
+        def rho_eg(c):
+            # c_ea conj(c_ga) + c_eb conj(c_gb)
+            return np.vecdot(c[..., 2:], c[..., :2])
+
+        def rho_eg_re(c):
+            return rho_eg(c).real
+
+        def rho_eg_im(c):
+            return rho_eg(c).imag
+
+        return {**super().observables(), "rho_bb": rho_bb,
+                "rho_eg_re": rho_eg_re, "rho_eg_im": rho_eg_im}
+
+
+class DetectorMeasurementModel(_FourLevelModel):
+    """Unperturbed two-level system continuously monitored by the detector.
+
+    Basis order: |e,a>, |e,b>, |g,a>, |g,b>.  Amplitude equations (ground
+    coupling):
+
+        d c_ea/dt = -i (omega_a + omega_d/2 - i gamma/2) c_ea
+        d c_eb/dt = -i (omega_a - omega_d/2) c_eb
+        d c_ga/dt = -i lam c_gb - i (omega_d/2) c_ga - (gamma/2) c_ga
+        d c_gb/dt = -i lam c_ga + i (omega_d/2) c_gb
+
+    For excited coupling the lam terms move symmetrically to the e rows.
+    The whole generator is constant, so a no-jump step is exact.
+    """
+
+    def __init__(self, detector: DetectorParams, omega_a: float = 1.0):
+        super().__init__(detector)
+        self.omega_a = omega_a
+
+    def _hamiltonian(self):
+        return np.array([self.omega_a, 0.0]), np.zeros(1)
+
+    def initial_amplitudes(self) -> np.ndarray:
+        # superposition (|e> + |g>)/sqrt(2), detector in its ground level
+        return np.array([0, 1, 0, 1], dtype=complex) / np.sqrt(2)
+
+    default_observables = ("rho_aa", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im")
+
+
+class RabiMeasuredModel(_FourLevelModel):
+    """Driven two-level system monitored by the detector, interaction picture.
+
+    Basis order: |e,a>, |e,b>, |g,a>, |g,b>.  The drive couples e and g rows
+    with the same detector index through (omega_r/2) exp(+/- i detuning t);
+    detector sector and coupling as in DetectorMeasurementModel with the
+    system phase absorbed into the picture.  In the frame rotating at the
+    detuning, c = p(t) c~ with p = exp(i detuning t) on the e rows, the
+    Hamiltonian is constant, detuning on the e row and -omega_r/2 between
+    the rows, so the step c -> p(t + dt) exp(K~ dt) p(t)^-1 c is exact; the
+    amplitudes stay in the interaction picture.
+    """
+
+    def __init__(self, detector: DetectorParams, drive: DriveParams):
+        super().__init__(detector)
+        self.drive = drive
+        # the interaction picture's generator without the drive
+        self._undriven = self._operator(self._band(np.zeros(2), np.zeros(1)))
+
+    def _hamiltonian(self):
+        return np.array([self.drive.detuning, 0.0]), np.array([-0.5 * self.drive.omega_r])
+
+    def initial_amplitudes(self) -> np.ndarray:
+        # system in the ground level, detector in its ground level
+        return np.array([0, 0, 0, 1], dtype=complex)
+
+    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
+        half_wr = 0.5j * self.drive.omega_r
+        ph = cmath.exp(1j * self.drive.detuning * t)
+        out = self._act(self._undriven, c)
+        out[..., :2] += (half_wr * ph) * c[..., 2:]     # e rows: + detuning phase
+        out[..., 2:] += (half_wr / ph) * c[..., :2]
+        return out
+
+    def propagate(self, t: float, c: np.ndarray, dt: float, out=None) -> np.ndarray:
+        # p(t)^-1 on the rows of the transposed factor, p(t + dt) on its columns
+        p, q = (cmath.exp(1j * self.drive.detuning * s) for s in (t, t + dt))
+        frame = np.array([[q / p, q / p, 1 / p, 1 / p]] * 2 + [[q, q, 1, 1]] * 2)
+        return self._act(self._step(dt) * frame, c, out)
+
+    default_observables = ("rho_gg", "rho_ee", "rho_aa")
+
+
+class MeasuredDecayModel(_MonitoredModel):
+    """Decaying system with the detector attached, single-excitation sector.
+
+    Basis order: |e,a>, |e,b>, then |g,j,a>, |g,j,b> per site j of the
+    band's Lanczos chain, which replaces the modes: ``sites`` of them, all
+    n_modes for a model built without a horizon, and as many as a run to
+    ``t_max`` needs for one built with it or through ``for_horizon``.  The
+    chain is built on first use.  In the frame rotating at omega_a the
+    Hamiltonian is the chain's (``ReservoirSpec.chain``), so the generator
+    is constant and a no-jump step is exact; lam sits on the g rows for
+    ground coupling, on the e row for excited coupling.  K is held as its
+    band of half-width 2, and each step factor as the band that holds it
+    above _NEGLIGIBLE.
+    """
+
+    def __init__(self, reservoir: ReservoirSpec, detector: DetectorParams,
+                 t_max: float | None = None):
+        super().__init__(detector)
+        self.reservoir = reservoir
+        self.sites = reservoir.chain_sites(t_max)
+        self.dim = 2 * (self.sites + 1)
+
+    def for_horizon(self, t_max: float):
+        """The model on the chain that a run up to ``t_max`` needs."""
+        if self.reservoir.chain_sites(t_max) == self.sites:
+            return self
+        model = object.__new__(type(self))
+        MeasuredDecayModel.__init__(model, self.reservoir, self.detector, t_max)
+        return model
+
+    def _hamiltonian(self):
+        chain = self.reservoir.chain(self.sites)
+        return np.diag(chain), np.diag(chain, 1)
+
     def initial_amplitudes(self) -> np.ndarray:
         c = np.zeros(self.dim, dtype=complex)
         c[1] = 1.0  # |e,b>
@@ -591,26 +601,6 @@ class MeasuredDecayModel(_MonitoredModel):
         out = np.zeros(self.dim, dtype=complex)
         out[:2] = c[:2]
         return out
-
-    def excited_weight(self, c: np.ndarray) -> np.ndarray:
-        return _weight(c[..., 0::2])
-
-    def collapse_amplitudes(self, c: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(c)
-        out[..., 1::2] = c[..., 0::2]
-        return out
-
-    def observables(self):
-        def rho_ee(c):
-            return _weight(c[..., :2])
-
-        def rho_gg(c):
-            return _weight(c[..., 2:])
-
-        def rho_aa(c):
-            return self.excited_weight(c)
-
-        return {"rho_ee": rho_ee, "rho_gg": rho_gg, "rho_aa": rho_aa}
 
     default_observables = ("rho_ee",)
 

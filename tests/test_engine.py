@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import warnings
 
 import numpy as np
@@ -25,6 +24,7 @@ from zenosim.models import (
     MeasuredDecayModel,
     RabiMeasuredModel,
     ReservoirSpec,
+    _trim,
     _weight,
 )
 
@@ -195,15 +195,24 @@ def generator_matrix(model, t=0.0):
     return np.column_stack([model.derivative(t, e) for e in np.eye(model.dim, dtype=complex)])
 
 
+def generic_4_level_state():
+    c = np.array([0.3 + 0.1j, 0.5, -0.2j, 0.6 + 0.4j])
+    return c / np.linalg.norm(c)
+
+
+FACTOR_STEPS = (0.001, 0.1, 0.4, 1.0)
+
+
 class TestExactDetectorFactor:
     @pytest.mark.parametrize("target", ["ground", "excited"])
     def test_step_is_exact_propagator(self, target):
         m = detector_model(gamma=10.0, lam=1.0, omega_d=1.0, coupling_target=target)
-        c = np.array([0.3 + 0.1j, 0.5, -0.2j, 0.6 + 0.4j])
-        c /= np.linalg.norm(c)
-        exact = expm(generator_matrix(m) * 0.1) @ c
-        out = no_jump_step(m, c, 0.0, 0.1)
-        np.testing.assert_allclose(out, exact / np.linalg.norm(exact), rtol=0, atol=1e-14)
+        c = generic_4_level_state()
+        for dt in FACTOR_STEPS:
+            exact = expm(generator_matrix(m) * dt) @ c
+            out = no_jump_step(m, c, 0.0, dt)
+            np.testing.assert_allclose(out, exact / np.linalg.norm(exact), rtol=0, atol=1e-14,
+                                       err_msg=f"dt={dt}")
 
     @pytest.mark.parametrize("detuning", [0.0, 0.2])
     def test_drive_step_is_exact_propagator(self, detuning):
@@ -213,6 +222,15 @@ class TestExactDetectorFactor:
         m = RabiMeasuredModel(DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0),
                               DriveParams(omega_r=0.1, detuning=detuning))
         rotating = generator_matrix(m) - 1j * detuning * np.diag([1, 1, 0, 0])
+        # one step from t, between the frame's phase maps at t and t + dt
+        for dt in FACTOR_STEPS:
+            for t in (0.0, 0.7):
+                p, q = np.exp(1j * detuning * np.array([t, t + dt]))
+                exact = expm(rotating * dt) @ (generic_4_level_state() * [1 / p, 1 / p, 1, 1])
+                exact[:2] *= q
+                out = no_jump_step(m, generic_4_level_state(), t, dt)
+                np.testing.assert_allclose(out, exact / np.linalg.norm(exact), rtol=0,
+                                           atol=1e-14, err_msg=f"dt={dt}, t={t}")
         c = m.initial_amplitudes()
         exact = expm(rotating * 2.0) @ c
         exact[:2] *= np.exp(2j * detuning)
@@ -258,11 +276,17 @@ class FixedBand(MeasuredDecayModel):
     def for_horizon(self, t_max):
         return self
 
-    @functools.cached_property
-    def _conj_k(self):
+    def _factor(self, dt):
+        # a dense expm of K, as the band of half-width dim - 1 that holds it,
+        # conjugated for np.vecdot as the model's own, then trimmed
         ue, ug = self.detector_blocks
         k = block_diag(ue, *[ug] * self.sites) - 1j * np.kron(self.h, np.eye(2))
-        return k.conj()     # conjugated, as the model's own
+        u = expm(k * dt).conj()
+        n = len(u)
+        band = np.zeros((n, 2 * n - 1), dtype=complex)
+        for row in range(n):
+            band[row, n - 1 - row:2 * n - 1 - row] = u[row]
+        return _trim(band)
 
 
 def assert_close_records(a, b, atol):
@@ -298,8 +322,11 @@ class TestExactBand:
         spec = cfg.model
         streams = [RngStream(cfg.master_seed, i) for i in range(cfg.n_trajectories)]
         chain = run_batch(build_model(spec), cfg, streams)
-        star = run_batch(FixedBand(spec.reservoir, spec.detector,
-                                   star_hamiltonian(spec.reservoir)), cfg, streams)
+        star_model = FixedBand(spec.reservoir, spec.detector, star_hamiltonian(spec.reservoir))
+        star = run_batch(star_model, cfg, streams)
+        # the star's step couples the system to every mode at once: wider
+        # than the 42 amplitudes of the 20-site chain
+        assert star_model._step(cfg.dt).shape[1] // 2 > 100
         assert sum(len(j) for j in chain.jumps) > 0
         assert_close_records(chain, star, 1e-10)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,13 @@ class TestReservoirSpec:
         res = ReservoirSpec(n_modes=1001, half_width=0.5, g0=0.001262)
         coarse = res.with_modes(201)
         assert coarse.golden_rate() == pytest.approx(res.golden_rate(), rel=1e-12)
+
+    @pytest.mark.parametrize("n_modes", [1, 0, -3])
+    def test_with_modes_rejects_too_few(self, n_modes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_modes must be >= 2"):
+                ReservoirSpec().with_modes(n_modes)
 
     @pytest.mark.parametrize("cls, field", [
         (DetectorParams, "gamma"), (DetectorParams, "lam"), (DetectorParams, "omega_d"),
