@@ -227,6 +227,7 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
     block = max(1, STATE_BLOCK // (n * model.dim))
     states = np.empty((block + 1, n, model.dim), dtype=complex)
     states[0] = _initial_amplitudes(model, config)
+    flat = states.view(np.float64)   # the states' real and imaginary parts
     n_rec = n_steps // stride
     times = np.arange(n_rec + 1) * (stride * dt)
     recs = {name: np.empty((n, n_rec + 1)) for name in names}
@@ -253,28 +254,29 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
                 t = i * dt
                 c = model.propagate(t, states[s], dt, out=states[s + 1])
                 n2 = _weight(c)
-                if not n2.min() > ZERO_NORM_THRESHOLD:
-                    # (a collapse of such a row could only leave a smaller norm)
-                    k = int(np.argmin(n2))
-                    raise ZeroNorm(f"state norm underflowed ({n2[k]}) at t={t} "
-                                   f"{_trajectory(streams[k])}")
-                # the jump probability is the norm the no-jump step lost
+                # the jump probability is the norm the no-jump step lost; one
+                # test passes the common step, in which no row jumps and no
+                # norm is zero or NaN (1 - n2 is then 1.0 or NaN)
                 jumped = ()
-                if gamma_dt > 0.0:
-                    jump = 1.0 - n2 > uniforms[u]
-                    if jump.any():
-                        jumped = np.flatnonzero(jump)
-                if len(jumped):
-                    post = model.collapse_amplitudes(c[jumped])
-                    m2 = _weight(post)
-                    if not m2.min() > ZERO_NORM_THRESHOLD:
-                        k = jumped[np.argmin(m2)]
-                        raise ZeroNorm(f"collapsed state norm underflowed at t={t} "
+                if not (1.0 - n2 <= uniforms[u]).all():
+                    if not n2.min() > ZERO_NORM_THRESHOLD:
+                        # (a collapse of such a row could only leave a smaller norm)
+                        k = int(np.argmin(n2))
+                        raise ZeroNorm(f"state norm underflowed ({n2[k]}) at t={t} "
                                        f"{_trajectory(streams[k])}")
-                    post /= np.sqrt(m2)[:, None]
-                    for k in jumped:
-                        jumps[k].append(t)
-                amplitudes = c.view(np.float64)
+                    if gamma_dt > 0.0:
+                        jumped = np.flatnonzero(1.0 - n2 > uniforms[u])
+                    if len(jumped):
+                        post = model.collapse_amplitudes(c[jumped])
+                        m2 = _weight(post)
+                        if not m2.min() > ZERO_NORM_THRESHOLD:
+                            k = jumped[np.argmin(m2)]
+                            raise ZeroNorm(f"collapsed state norm underflowed at t={t} "
+                                           f"{_trajectory(streams[k])}")
+                        post /= np.sqrt(m2)[:, None]
+                        for k in jumped:
+                            jumps[k].append(t)
+                amplitudes = flat[s + 1]
                 np.divide(amplitudes, np.sqrt(n2)[:, None], out=amplitudes)
                 if len(jumped):
                     c[jumped] = post

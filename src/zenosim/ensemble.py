@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,6 +141,9 @@ def run_ensemble(config: RunConfig, workers: Optional[int] = None,
     if workers == 1:
         batches = [run_batch(model, config, _streams(config, lo, hi)) for lo, hi in ranges]
     else:
+        # imported here: a one-worker run does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_range, config, lo, hi) for lo, hi in ranges]
             try:

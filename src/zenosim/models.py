@@ -262,7 +262,8 @@ def _trim(band: np.ndarray) -> np.ndarray:
 
 def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The band of the product of the matrices whose bands are ``a`` and
-    ``b``: one pass over the diagonals of ``a``."""
+    ``b``: one pass over the diagonals of ``a``, cut to half-width
+    rows - 1, beyond which a matrix of that many rows has no diagonal."""
     ha, n = a.shape[1] // 2, len(a)
     shifted = np.zeros((n + 2 * ha, b.shape[1]), dtype=complex)
     shifted[ha:ha + n] = b
@@ -270,7 +271,8 @@ def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(a.shape[1]):
         # m_a[k, k + j - ha] times row k + j - ha of m_b
         out[:, j:j + b.shape[1]] += a[:, j, None] * shifted[j:j + n]
-    return out
+    cut = max(0, out.shape[1] // 2 - (n - 1))
+    return out[:, cut:out.shape[1] - cut]
 
 
 def _band_expm(band: np.ndarray) -> np.ndarray:

@@ -5,18 +5,38 @@ Conventions: rates returned here describe exponential decay of populations
 ``tau_m = gamma / (2 lam^2)`` is the characteristic time the detector needs
 to destroy the monitored system's coherence; it is the single parameter all
 measurement-modified rates depend on.
+
+scipy is loaded only when a Laplace-pole oracle (``laplace_decay_rate``,
+``laplace_rate_equation_residual``) first integrates: a process that never
+calls them does not import ``scipy.integrate``.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .models import DriveParams, ReservoirSpec
+
+
+class _LazyModule:
+    """Stands in for the module ``name`` and imports it on first attribute
+    access.  The functions below look ``integrate.quad`` up at call time, so
+    a stand-in swapped onto this module's ``integrate`` receives the calls.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+integrate = _LazyModule("scipy.integrate")
 
 
 class DomainError(ValueError):
