@@ -76,6 +76,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown model variant {self.variant!r}")
+        if not np.isfinite(self.omega_a):
+            raise ConfigError(f"omega_a must be finite, got {self.omega_a}")
         uses = VARIANTS[self.variant][1]
         for f in fields(self)[1:]:
             value = getattr(self, f.name)

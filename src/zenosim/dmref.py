@@ -33,15 +33,16 @@ class ToleranceExceeded(RuntimeError):
 
 def check_density_matrix(rho: np.ndarray, hermiticity_tol: float = 1e-10,
                          trace_tol: float = 1e-10, eig_tol: float = 1e-8) -> None:
-    """Raise ToleranceExceeded unless rho is Hermitian, unit trace and PSD."""
+    """Raise ToleranceExceeded unless rho is Hermitian, unit trace and PSD;
+    a NaN fails every check."""
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > hermiticity_tol:
+    if not herm <= hermiticity_tol:
         raise ToleranceExceeded(f"hermiticity defect {herm:.3g}")
     tr = abs(np.trace(rho) - 1.0)
-    if tr > trace_tol:
+    if not tr <= trace_tol:
         raise ToleranceExceeded(f"trace defect {tr:.3g}")
     eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if eigs.min() < -eig_tol:
+    if not eigs.min() >= -eig_tol:
         raise ToleranceExceeded(f"negative eigenvalue {eigs.min():.3g}")
 
 
@@ -86,28 +87,27 @@ _I2 = np.eye(2, dtype=complex)
 def _four_level_operators(spec: ModelSpec):
     """Hamiltonian, detector lowering operator, detector decay rate and frame
     frequency on the (system x detector) four-level basis |e,a>, |e,b>,
-    |g,a>, |g,b>.
+    |g,a>, |g,b>, from three numbers: the excited level's energy, the drive
+    omega_r and the frequency ``frame`` of the phase exp(i frame t) that
+    takes the integrated rho_eg to the reported one.
 
-    The rabi variant is in the interaction picture, where the drive carries
-    the phase exp(i detuning t) on |e><g|.  In the frame rotating by
-    exp(i detuning t P_e) (P_e the system's excited projector) that drive is
-    constant and P_e gains the energy detuning; the detector parts commute
-    with P_e and do not change.  rho_eg of the lab frame is the rotating
-    one times exp(i detuning t).
+    The detector variant is (omega_a, 0, 0).  The rabi variant is in the
+    interaction picture, where the drive carries exp(i detuning t) on |e><g|;
+    in the frame rotating by exp(i detuning t P_e) (P_e the system's excited
+    projector) it is constant and P_e gains the energy detuning, so the
+    variant is (detuning, omega_r, detuning).
     """
     det = spec.detector
-    proj_e = np.diag([1.0, 0.0]).astype(complex)
-    proj_g = np.diag([0.0, 1.0]).astype(complex)
-    h_det = 0.5 * det.omega_d * np.kron(_I2, _SZ)
-    mon = proj_g if det.coupling_target == "ground" else proj_e
-    h_int = det.lam * np.kron(mon, _SX)
-    sm = np.kron(_I2, _SM)
     if spec.variant == "detector":
-        return spec.omega_a * np.kron(proj_e, _I2) + h_det + h_int, sm, det.gamma, 0.0
-    omega_r, detuning = spec.drive.omega_r, spec.drive.detuning
-    # -0.5 omega_r (|e><g| + |g><e|) on the system, the 2x2 of _SX
-    drive = -0.5 * omega_r * np.kron(_SX, _I2)
-    return h_det + h_int + drive + detuning * np.kron(proj_e, _I2), sm, det.gamma, detuning
+        energy, omega_r, frame = spec.omega_a, 0.0, 0.0
+    else:
+        energy, omega_r, frame = spec.drive.detuning, spec.drive.omega_r, spec.drive.detuning
+    proj_e, proj_g = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    mon = proj_g if det.coupling_target == "ground" else proj_e
+    # the drive -0.5 omega_r (|e><g| + |g><e|) on the system, the 2x2 of _SX
+    h = (energy * np.kron(proj_e, _I2) - 0.5 * omega_r * np.kron(_SX, _I2)
+         + 0.5 * det.omega_d * np.kron(_I2, _SZ) + det.lam * np.kron(mon, _SX))
+    return h, np.kron(_I2, _SM), det.gamma, frame
 
 
 def _liouvillian(h: np.ndarray, sm: np.ndarray, gamma: float) -> np.ndarray:
@@ -136,7 +136,7 @@ def evolve_master_detector(spec: ModelSpec, t_max: float, dt: float,
     if spec.variant not in ("detector", "rabi"):
         raise ValueError("master-equation reference covers the 4-level models only")
     _require_horizon(t_max, dt, record_every)
-    h, sm, gamma, detuning = _four_level_operators(spec)
+    h, sm, gamma, frame = _four_level_operators(spec)
 
     if rho0 is None:
         psi = build_model(spec).initial_amplitudes()
@@ -154,13 +154,13 @@ def evolve_master_detector(spec: ModelSpec, t_max: float, dt: float,
     for i in range(n_rec):
         vecs[i + 1] = prop @ vecs[i]
     rhos = vecs.reshape(-1, 4, 4)
-    # back to the lab frame: rho_eg picks up exp(i detuning t)
+    # back to the reported frame: rho_eg picks up exp(i frame t)
     excited = np.array([1.0, 1.0, 0.0, 0.0])
-    rhos *= np.exp(1j * detuning * times[:, None, None]
+    rhos *= np.exp(1j * frame * times[:, None, None]
                    * (excited[:, None] - excited[None, :]))
     herm = np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))
-    if np.any(herm > HERMITICITY_TOL):
-        i = int(np.argmax(herm > HERMITICITY_TOL))
+    if not np.all(herm <= HERMITICITY_TOL):   # a NaN fails too
+        i = int(np.argmin(herm <= HERMITICITY_TOL))
         raise ToleranceExceeded(f"hermiticity drift {herm[i]:.3g} at t={times[i]}")
     return times, rhos
 
@@ -217,8 +217,8 @@ def evolve_measured_decay_dm(res: ReservoirSpec, tau_m: float, t_max: float,
     occupation.  Raises ToleranceExceeded if the trace drifts beyond 1e-7.
     """
     _require_horizon(t_max, dt, record_every)
-    if tau_m <= 0:
-        raise ValueError("tau_m must be > 0")
+    if not tau_m > 0:
+        raise ValueError(f"tau_m must be > 0, got {tau_m}")
     h = res.chain(res.chain_sites(t_max))
     damp = np.zeros(h.shape)
     damp[0, 1:] = damp[1:, 0] = 1.0 / tau_m
@@ -237,7 +237,7 @@ def evolve_measured_decay_dm(res: ReservoirSpec, tau_m: float, t_max: float,
         rho[...] = _rk4(apply, rho, dt, work)
         if (i + 1) % record_every == 0:
             drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-            if drift > TRACE_TOL:
+            if not drift <= TRACE_TOL:
                 raise ToleranceExceeded(f"trace drift {drift:.3g} at t={(i+1)*dt}")
             times.append((i + 1) * dt)
             pops.append(float(rho[0, 0].real))

@@ -3,9 +3,9 @@
 A batch of n trajectories is one (n, dim) complex array, one row per
 trajectory, advanced together on a uniform grid t_n = n*dt.  Each step first
 evolves every row over dt under the non-Hermitian effective Hamiltonian,
-without renormalizing, to c'.  Every model's generator is constant in its
-frame, so ``model.propagate`` steps exactly, with its cached factor
-exp(K dt), summed on K's band for every model; a band model first shortens
+without renormalizing, to c'.  Every model's generator is constant in the
+frame it is stepped in, so ``model.propagate`` steps exactly with its
+cached factor exp(K dt), summed on K's band; a band model first shortens
 its chain to the run's horizon (``model.for_horizon``), and an initial state
 given in the config is read by ``model.own_amplitudes``.  The collapse
 probability of a row's step is the norm that this no-jump evolution lost,
@@ -14,7 +14,8 @@ Knight, Rev. Mod. Phys. 70, 101, 1998).  Every trajectory draws one
 uniform random number ``r`` per step, also when Gamma = 0: if ``p > r`` the
 jump operator collapses that row's c', otherwise c' is renormalized.  A
 jump is recorded at the grid time t_n at which its step began.  Observables
-are recorded after the step, at t_{n+1}; the initial values at t=0.
+are recorded after the step, at t_{n+1}, and are given that time; the
+initial values at t=0.
 
 Every operation acts row by row, with a rounding that does not depend on the
 number of rows, so a trajectory's record is bit-identical whether it runs
@@ -232,7 +233,7 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
     times = np.arange(n_rec + 1) * (stride * dt)
     recs = {name: np.empty((n, n_rec + 1)) for name in names}
     for name, f in zip(names, funcs):
-        recs[name][:, 0] = f(states[0])
+        recs[name][:, 0] = f(states[0], 0.0)
 
     gamma_dt = model.gamma * dt
     generators = [stream.generator() for stream in streams]
@@ -252,7 +253,7 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
                     for k, gen in enumerate(generators):
                         uniforms[:, k] = gen.random(len(uniforms))
                 t = i * dt
-                c = model.propagate(t, states[s], dt, out=states[s + 1])
+                c = model.propagate(states[s], dt, out=states[s + 1])
                 n2 = _weight(c)
                 # the jump probability is the norm the no-jump step lost; one
                 # test passes the common step, in which no row jumps and no
@@ -299,7 +300,7 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
             kept = states[first + 1:m + 1:stride]
             j = (start + first + 1) // stride
             for name, f in zip(names, funcs):
-                recs[name][:, j:j + len(kept)] = f(kept).T
+                recs[name][:, j:j + len(kept)] = f(kept, times[j:j + len(kept), None]).T
         states[0] = states[m]
 
     return TrajectoryBatch(
@@ -307,7 +308,7 @@ def run_batch(model, config, streams) -> TrajectoryBatch:
         times=times,
         observables=recs,
         jumps=jumps,
-        final_observables={name: f(states[0]) for name, f in zip(names, funcs)},
+        final_observables={name: f(states[0], n_steps * dt) for name, f in zip(names, funcs)},
         max_jump_prob=float(max_jump_prob),
     )
 

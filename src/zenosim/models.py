@@ -6,20 +6,21 @@ A state is an array ``c`` of complex amplitudes over the model's basis
 * ``initial_amplitudes()`` -- the default initial state,
 * ``own_amplitudes(c)``    -- an initial state given over the basis of the
   model built without a horizon, over this model's basis,
-* ``propagate(t, c, dt)``  -- the exact no-jump step from t to t + dt:
-  every model's non-Hermitian effective generator K is constant in its
-  frame, so the step is one cached factor exp(K dt), a Taylor series on
-  K's band (applied between two phase maps by the driven model, whose
-  frame rotates),
-* ``derivative(t, c)``     -- the action of the generator at time t, as
-  the time derivative of the amplitude array,
+* ``propagate(c, dt)``     -- the exact no-jump step over dt: every
+  model's non-Hermitian effective generator K is constant in the frame it
+  is stepped in, so the step is one cached factor exp(K dt), a Taylor
+  series on K's band,
+* ``derivative(c)``        -- the action of K, as the time derivative of
+  the amplitude array,
 * ``excited_weight(c)``    -- total probability in the detector-excited
   subspace (the collapse operator is ``sqrt(Gamma) sigma_-`` on the detector,
   so the jump rate is ``Gamma`` times this weight),
 * ``collapse_amplitudes(c)`` -- the unnormalized post-jump amplitudes,
 * ``for_horizon(t_max)``   -- the model that a run up to ``t_max`` steps
   (the band models shorten their chain to it),
-* named observables used for recording.
+* ``observables()``        -- named observables ``f(c, t)`` used for
+  recording, where ``t`` is the record time, broadcast against the leading
+  axes of ``c``; only the driven model's coherence reads it.
 
 All that take ``c`` act on its last axis: ``c`` is one state of shape
 (dim,) or a batch of shape (n, dim), one trajectory per row, and each row's
@@ -40,8 +41,9 @@ Models
     ``rho_eg_im`` are frame quantities and rotate with it.
 ``RabiMeasuredModel``
     The same monitored system driven by a classical field (rotating-wave
-    coupling ``omega_r``, detuning ``detuning``), written in the interaction
-    picture so the drive carries explicit ``exp(+/- i detuning t)`` phases.
+    coupling ``omega_r``, detuning ``detuning``), stepped in the frame
+    rotating at the detuning; its records keep their interaction-picture
+    meaning, where the drive carries ``exp(+/- i detuning t)`` phases.
 ``MeasuredDecayModel``
     Excited two-level system coupled to a band of discretized reservoir
     modes, single-excitation sector, with the detector attached to the
@@ -66,7 +68,6 @@ dense 4x4 matrices.
 
 from __future__ import annotations
 
-import cmath
 import functools
 from dataclasses import dataclass
 
@@ -403,10 +404,10 @@ class _MonitoredModel:
         padded[..., h:h + c.shape[-1]] = c
         return np.vecdot(band, windows, out=out)
 
-    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
+    def derivative(self, c: np.ndarray) -> np.ndarray:
         return self._act(self._generator, c)
 
-    def propagate(self, t: float, c: np.ndarray, dt: float, out=None) -> np.ndarray:
+    def propagate(self, c: np.ndarray, dt: float, out=None) -> np.ndarray:
         return self._act(self._step(dt), c, out)
 
     def for_horizon(self, t_max: float):
@@ -431,27 +432,38 @@ class _MonitoredModel:
         return out
 
     def observables(self):
-        def rho_ee(c):
+        def rho_ee(c, t):
             return _weight(c[..., :2])
 
-        def rho_gg(c):
+        def rho_gg(c, t):
             return _weight(c[..., 2:])
 
-        def rho_aa(c):
+        def rho_aa(c, t):
             return _weight(c[..., 0::2])
 
         return {"rho_ee": rho_ee, "rho_gg": rho_gg, "rho_aa": rho_aa}
 
 
 class _FourLevelModel(_MonitoredModel):
-    """Basis |e,a>, |e,b>, |g,a>, |g,b>: one excited and one ground row.
+    """Basis |e,a>, |e,b>, |g,a>, |g,b>, in the frame where K is constant.
 
+    Three numbers make the model: the excited row's energy, the drive
+    ``omega_r`` (hopping -omega_r/2) and the frequency ``frame`` of the
+    phase exp(i frame t) that takes the stepped rho_eg to the recorded one.
     K and its step factors are applied as dense 4x4 matrices: on rows of 4
     amplitudes ``np.matmul`` takes a third to a quarter of the time of the
     band's windowed products (for 50 to 100 rows).
     """
 
     dim = 4
+
+    def __init__(self, detector: DetectorParams, energy: float, omega_r: float,
+                 frame: float):
+        super().__init__(detector)
+        self._energy, self._omega_r, self._frame = energy, omega_r, frame
+
+    def _hamiltonian(self):
+        return np.array([self._energy, 0.0]), np.array([-0.5 * self._omega_r])
 
     def _operator(self, band):
         # the band's action on the unit rows: the transposed matrix, which
@@ -463,18 +475,22 @@ class _FourLevelModel(_MonitoredModel):
         return np.matmul(c, op_t, out=out)
 
     def observables(self):
-        def rho_bb(c):
+        frame = self._frame
+
+        def rho_bb(c, t):
             return _weight(c[..., 1::2])
 
-        def rho_eg(c):
-            # c_ea conj(c_ga) + c_eb conj(c_gb)
-            return np.vecdot(c[..., 2:], c[..., :2])
+        def rho_eg(c, t):
+            # c_ea conj(c_ga) + c_eb conj(c_gb), in the recorded frame (a
+            # frame of 0 leaves the bits of r, signed zeros included)
+            r = np.vecdot(c[..., 2:], c[..., :2])
+            return r * np.exp(1j * frame * t) if frame else r
 
-        def rho_eg_re(c):
-            return rho_eg(c).real
+        def rho_eg_re(c, t):
+            return rho_eg(c, t).real
 
-        def rho_eg_im(c):
-            return rho_eg(c).imag
+        def rho_eg_im(c, t):
+            return rho_eg(c, t).imag
 
         return {**super().observables(), "rho_bb": rho_bb,
                 "rho_eg_re": rho_eg_re, "rho_eg_im": rho_eg_im}
@@ -492,15 +508,13 @@ class DetectorMeasurementModel(_FourLevelModel):
         d c_gb/dt = -i lam c_ga + i (omega_d/2) c_gb
 
     For excited coupling the lam terms move symmetrically to the e rows.
-    The whole generator is constant, so a no-jump step is exact.
+    The whole generator is constant, so a no-jump step is exact, and the
+    records are taken in this frame.
     """
 
     def __init__(self, detector: DetectorParams, omega_a: float = 1.0):
-        super().__init__(detector)
+        super().__init__(detector, omega_a, 0.0, 0.0)
         self.omega_a = omega_a
-
-    def _hamiltonian(self):
-        return np.array([self.omega_a, 0.0]), np.zeros(1)
 
     def initial_amplitudes(self) -> np.ndarray:
         # superposition (|e> + |g>)/sqrt(2), detector in its ground level
@@ -510,44 +524,26 @@ class DetectorMeasurementModel(_FourLevelModel):
 
 
 class RabiMeasuredModel(_FourLevelModel):
-    """Driven two-level system monitored by the detector, interaction picture.
+    """Driven two-level system monitored by the detector.
 
-    Basis order: |e,a>, |e,b>, |g,a>, |g,b>.  The drive couples e and g rows
-    with the same detector index through (omega_r/2) exp(+/- i detuning t);
-    detector sector and coupling as in DetectorMeasurementModel with the
-    system phase absorbed into the picture.  In the frame rotating at the
-    detuning, c = p(t) c~ with p = exp(i detuning t) on the e rows, the
-    Hamiltonian is constant, detuning on the e row and -omega_r/2 between
-    the rows, so the step c -> p(t + dt) exp(K~ dt) p(t)^-1 c is exact; the
-    amplitudes stay in the interaction picture.
+    Basis order: |e,a>, |e,b>, |g,a>, |g,b>.  In the interaction picture
+    the drive couples e and g rows with the same detector index through
+    (omega_r/2) exp(+/- i detuning t); detector sector and coupling as in
+    DetectorMeasurementModel with the system phase absorbed into the
+    picture.  The amplitudes are stepped in the frame rotating at the
+    detuning, c = p(t) c~ with p = exp(i detuning t) on the e rows, where
+    the Hamiltonian is DetectorMeasurementModel's with omega_a = detuning
+    plus -omega_r/2 between the rows.  p commutes with the jump and keeps
+    every population, so only rho_eg is turned back by p at its record time.
     """
 
     def __init__(self, detector: DetectorParams, drive: DriveParams):
-        super().__init__(detector)
+        super().__init__(detector, drive.detuning, drive.omega_r, drive.detuning)
         self.drive = drive
-        # the interaction picture's generator without the drive
-        self._undriven = self._operator(self._band(np.zeros(2), np.zeros(1)))
-
-    def _hamiltonian(self):
-        return np.array([self.drive.detuning, 0.0]), np.array([-0.5 * self.drive.omega_r])
 
     def initial_amplitudes(self) -> np.ndarray:
         # system in the ground level, detector in its ground level
         return np.array([0, 0, 0, 1], dtype=complex)
-
-    def derivative(self, t: float, c: np.ndarray) -> np.ndarray:
-        half_wr = 0.5j * self.drive.omega_r
-        ph = cmath.exp(1j * self.drive.detuning * t)
-        out = self._act(self._undriven, c)
-        out[..., :2] += (half_wr * ph) * c[..., 2:]     # e rows: + detuning phase
-        out[..., 2:] += (half_wr / ph) * c[..., :2]
-        return out
-
-    def propagate(self, t: float, c: np.ndarray, dt: float, out=None) -> np.ndarray:
-        # p(t)^-1 on the rows of the transposed factor, p(t + dt) on its columns
-        p, q = (cmath.exp(1j * self.drive.detuning * s) for s in (t, t + dt))
-        frame = np.array([[q / p, q / p, 1 / p, 1 / p]] * 2 + [[q, q, 1, 1]] * 2)
-        return self._act(self._step(dt) * frame, c, out)
 
     default_observables = ("rho_gg", "rho_ee", "rho_aa")
 

@@ -370,7 +370,8 @@ class TestCli:
     @pytest.mark.parametrize("model, sections", [
         ("detector", "[detector]\ngamma = inf"),
         ("rabi", "[detector]\n\n[drive]\nomega_r = nan"),
-        ("freedecay", "[reservoir]\ng0 = nan\nhalf_width = inf")])
+        ("freedecay", "[reservoir]\ng0 = nan\nhalf_width = inf"),
+        ("detector", "omega_a = nan\n\n[detector]")])
     def test_simulate_nonfinite_parameter_exit_2(self, model, sections, tmp_path, capsys):
         path = tmp_path / "nonfinite.cfg"
         path.write_text(f"[run]\nmodel = {model}\nt_max = 1\n\n{sections}\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zenosim import dmref, preset
-from zenosim.config import ModelSpec
+from zenosim.config import ConfigError, ModelSpec
 from zenosim.models import DetectorParams, DriveParams, FreeDecayModel, ReservoirSpec
 
 
@@ -64,6 +64,22 @@ class TestMasterDetector:
         with pytest.raises(ValueError):
             dmref.evolve_master_detector(spec, 1.0, 0.01)
 
+    def test_rejects_nonfinite_frame_frequency(self):
+        # a spec with omega_a = nan or inf is never built, so no reference
+        # of NaN matrices is returned
+        for value in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="omega_a must be finite"):
+                dmref.evolve_master_detector(
+                    ModelSpec("detector", detector=DetectorParams(), omega_a=value), 1.0, 0.01)
+
+    def test_overflowing_generator_raises(self):
+        # gamma dt far beyond RK4's range: the step matrix overflows to NaN,
+        # which the hermiticity check reports instead of returning it
+        spec = ModelSpec("detector", detector=DetectorParams(gamma=1e100))
+        with np.errstate(all="ignore"), pytest.raises(dmref.ToleranceExceeded,
+                                                      match="hermiticity drift nan"):
+            dmref.evolve_master_detector(spec, 1.0, 0.1)
+
     def test_rejects_bad_horizon(self):
         spec = ModelSpec("detector", detector=DetectorParams())
         for t_max, dt, name in BAD_HORIZONS:
@@ -90,9 +106,9 @@ class TestMeasuredDecayDm:
             dt = 0.02
             wave = [1.0]
             for i in range(int(round(50.0 / dt))):
-                c = model.propagate(i * dt, c, dt)
+                c = model.propagate(c, dt)
                 if (i + 1) % 50 == 0:
-                    wave.append(rho_ee(c))
+                    wave.append(rho_ee(c, (i + 1) * dt))
             np.testing.assert_allclose(pops, wave, atol=5e-6)
 
     @pytest.mark.parametrize("slope", [0.0, 2.0])
@@ -127,6 +143,18 @@ class TestMeasuredDecayDm:
         from zenosim import oracles
         free = oracles.corrected_free_decay_rate(res).rate
         assert rate > free
+
+    @pytest.mark.parametrize("tau_m", [np.nan, 0.0, -1.0])
+    def test_rejects_bad_tau_m(self, tau_m):
+        with pytest.raises(ValueError, match="tau_m must be > 0"):
+            dmref.evolve_measured_decay_dm(ReservoirSpec(n_modes=51), tau_m, 2.0, 0.05)
+
+    def test_overflowing_generator_raises(self):
+        # a coupling far beyond RK4's range: the populations overflow to NaN,
+        # which the trace check reports instead of returning them
+        with np.errstate(all="ignore"), pytest.raises(dmref.ToleranceExceeded,
+                                                      match="trace drift nan"):
+            dmref.evolve_measured_decay_dm(ReservoirSpec(n_modes=51, g0=1e100), 5.0, 2.0, 0.05)
 
     def test_rejects_bad_horizon(self):
         res = ReservoirSpec(n_modes=1001, half_width=0.5, g0=0.001262)
@@ -262,6 +290,20 @@ class TestDensityMatrixChecks:
         rho = np.diag([0.6, 0.6]).astype(complex)
         with pytest.raises(dmref.ToleranceExceeded):
             dmref.check_density_matrix(rho)
+
+    def test_rejects_nan(self):
+        rho = np.diag([np.nan, 0.5]).astype(complex)
+        with pytest.raises(dmref.ToleranceExceeded, match="hermiticity defect nan"):
+            dmref.check_density_matrix(rho)
+
+    @pytest.mark.parametrize("tol, check", [("hermiticity_tol", "hermiticity"),
+                                            ("trace_tol", "trace"),
+                                            ("eig_tol", "negative eigenvalue")])
+    def test_nan_tolerance_fails_its_check(self, tol, check):
+        # every comparison fails on a NaN, on either side
+        rho = np.diag([0.25, 0.75]).astype(complex)
+        with pytest.raises(dmref.ToleranceExceeded, match=check):
+            dmref.check_density_matrix(rho, **{tol: np.nan})
 
     def test_accepts_valid(self):
         rho = np.diag([0.25, 0.75]).astype(complex)

@@ -35,10 +35,10 @@ def detector_model(**kw):
     return DetectorMeasurementModel(DetectorParams(**kw))
 
 
-def no_jump_step(model, c, t, dt):
+def no_jump_step(model, c, dt):
     """One renormalized no-jump step of the engine on a (1, dim) row."""
     row = np.array(c, dtype=complex).reshape(1, -1)
-    return _renormalize(model.propagate(t, row, dt, out=np.empty_like(row))[0])
+    return _renormalize(model.propagate(row, dt, out=np.empty_like(row))[0])
 
 
 def run_detector(amps, dt, t_max=None, n=1, **kw):
@@ -52,16 +52,18 @@ def run_detector(amps, dt, t_max=None, n=1, **kw):
 
 class NanRow(DetectorMeasurementModel):
     """The detector model, whose no-jump step leaves row ``row`` not a
-    number from time ``t_nan`` on."""
+    number from time ``t_nan`` on; it counts its steps to know the time."""
 
     def __init__(self, row, t_nan, **kw):
         super().__init__(DetectorParams(**kw))
         self.row, self.t_nan = row, t_nan
+        self.steps = 0
 
-    def propagate(self, t, c, dt, out=None):
-        out = super().propagate(t, c, dt, out)
-        if t >= self.t_nan:
+    def propagate(self, c, dt, out=None):
+        out = super().propagate(c, dt, out)
+        if self.steps * dt >= self.t_nan:
             out[self.row] = np.nan
+        self.steps += 1
         return out
 
 
@@ -176,14 +178,14 @@ class TestDeterministicStep:
         m = detector_model(gamma=10.0, lam=1.0)
         c = np.array([0, 1, 0, 0], complex)
         for k in range(50):
-            c = no_jump_step(m, c, k * 0.1, 0.1)
+            c = no_jump_step(m, c, 0.1)
         assert abs(c[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_uncoupled_ground_constant(self):
         m = detector_model(gamma=10.0, lam=0.0)
         c = np.array([0, 0, 0, 1], complex)
         for k in range(100):
-            c = no_jump_step(m, c, k * 0.1, 0.1)
+            c = no_jump_step(m, c, 0.1)
         assert abs(c[3]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_updates_time(self):
@@ -191,8 +193,8 @@ class TestDeterministicStep:
         np.testing.assert_array_equal(batch.times, [0.0, 0.5, 1.0, 1.5])
 
 
-def generator_matrix(model, t=0.0):
-    return np.column_stack([model.derivative(t, e) for e in np.eye(model.dim, dtype=complex)])
+def generator_matrix(model):
+    return np.column_stack([model.derivative(e) for e in np.eye(model.dim, dtype=complex)])
 
 
 def generic_4_level_state():
@@ -210,34 +212,34 @@ class TestExactDetectorFactor:
         c = generic_4_level_state()
         for dt in FACTOR_STEPS:
             exact = expm(generator_matrix(m) * dt) @ c
-            out = no_jump_step(m, c, 0.0, dt)
+            out = no_jump_step(m, c, dt)
             np.testing.assert_allclose(out, exact / np.linalg.norm(exact), rtol=0, atol=1e-14,
                                        err_msg=f"dt={dt}")
 
     @pytest.mark.parametrize("detuning", [0.0, 0.2])
     def test_drive_step_is_exact_propagator(self, detuning):
-        # in the frame rotating at the detuning (c_e = exp(i detuning t) c~_e)
-        # the generator is constant: at t = 0 it is the interaction-picture
-        # one with the excited rows shifted by -i detuning
-        m = RabiMeasuredModel(DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0),
-                              DriveParams(omega_r=0.1, detuning=detuning))
-        rotating = generator_matrix(m) - 1j * detuning * np.diag([1, 1, 0, 0])
-        # one step from t, between the frame's phase maps at t and t + dt
+        # the driven model is stepped in the frame rotating at the detuning,
+        # where its generator K~ is constant: the detector model's with
+        # omega_a = detuning, plus the drive -omega_r/2 between the rows.
+        # Its step is exp(K~ dt) at every t, with no phase maps.
+        det = DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0)
+        m = RabiMeasuredModel(det, DriveParams(omega_r=0.1, detuning=detuning))
+        rotating = generator_matrix(m)
+        drive = 0.5j * m.drive.omega_r * np.kron([[0, 1], [1, 0]], np.eye(2))
+        np.testing.assert_allclose(
+            rotating, generator_matrix(DetectorMeasurementModel(det, omega_a=detuning)) + drive,
+            rtol=0, atol=1e-15)
         for dt in FACTOR_STEPS:
-            for t in (0.0, 0.7):
-                p, q = np.exp(1j * detuning * np.array([t, t + dt]))
-                exact = expm(rotating * dt) @ (generic_4_level_state() * [1 / p, 1 / p, 1, 1])
-                exact[:2] *= q
-                out = no_jump_step(m, generic_4_level_state(), t, dt)
-                np.testing.assert_allclose(out, exact / np.linalg.norm(exact), rtol=0,
-                                           atol=1e-14, err_msg=f"dt={dt}, t={t}")
+            exact = expm(rotating * dt) @ generic_4_level_state()
+            out = no_jump_step(m, generic_4_level_state(), dt)
+            np.testing.assert_allclose(out, exact / np.linalg.norm(exact), rtol=0,
+                                       atol=1e-14, err_msg=f"dt={dt}")
         c = m.initial_amplitudes()
         exact = expm(rotating * 2.0) @ c
-        exact[:2] *= np.exp(2j * detuning)
         exact /= np.linalg.norm(exact)
         s = c
         for k in range(20):
-            s = no_jump_step(m, s, k * 0.1, 0.1)
+            s = no_jump_step(m, s, 0.1)
         np.testing.assert_allclose(s, exact, rtol=0, atol=1e-14)
 
     def test_records_do_not_depend_on_omega_a(self):
@@ -260,6 +262,73 @@ class TestExactDetectorFactor:
                     np.testing.assert_allclose(rec.observables[name],
                                                first.observables[name], rtol=0, atol=1e-12)
         assert n_jumps > 0
+
+
+def four_level_generator(det, energy, omega_r):
+    """K of the 4-level models as a dense matrix, built from the physics: the
+    excited row's energy, the drive -omega_r/2 between the rows, the
+    detector splitting omega_d/2 (a above b), the coupling lam on the
+    monitored row and the decay gamma/2 of the detector's a level."""
+    sx, first = np.array([[0, 1], [1, 0]]), np.diag([1, 0])   # e, or a
+    monitored = np.diag([0, 1] if det.coupling_target == "ground" else [1, 0])
+    h = (energy * np.kron(first, np.eye(2)) - 0.5 * omega_r * np.kron(sx, np.eye(2))
+         + 0.5 * det.omega_d * np.kron(np.eye(2), np.diag([1, -1]))
+         + det.lam * np.kron(monitored, sx))
+    return -1j * h - 0.5 * det.gamma * np.kron(np.eye(2), first)
+
+
+class TestFourLevelFold:
+    """Both 4-level models are one model stepped in its constant frame; the
+    driven model turns rho_eg back to the interaction picture when it
+    records."""
+
+    def test_detector_model_is_the_undriven_rabi_model(self):
+        det = DetectorParams()
+        detector = DetectorMeasurementModel(det, omega_a=0.7)
+        rabi = RabiMeasuredModel(det, DriveParams(omega_r=0.0, detuning=0.7))
+        np.testing.assert_array_equal(detector._k, rabi._k)
+        names = ("rho_aa", "rho_bb", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im")
+        cfg = RunConfig(ModelSpec("detector", detector=det), dt=0.1, t_max=20.0,
+                        n_trajectories=8, observables=names,
+                        initial_amplitudes=np.array([0.0, 0.6, 0.0, 0.8], complex))
+        streams = [RngStream(31, k) for k in range(8)]
+        a, b = run_batch(detector, cfg, streams), run_batch(rabi, cfg, streams)
+        assert a.jumps == b.jumps and sum(len(j) for j in a.jumps) > 0
+        for name in names[:4]:
+            np.testing.assert_array_equal(a.observables[name], b.observables[name])
+            np.testing.assert_array_equal(a.final_observables[name],
+                                          b.final_observables[name])
+        # the same rho_eg, turned by exp(i 0.7 t) into the interaction picture
+        turn = np.exp(0.7j * a.times)
+        eg = a.observables["rho_eg_re"] + 1j * a.observables["rho_eg_im"]
+        np.testing.assert_allclose(b.observables["rho_eg_re"] + 1j * b.observables["rho_eg_im"],
+                                   eg * turn, rtol=0, atol=1e-15)
+
+    def test_detuned_coherence_matches_dense_replay(self):
+        # a jumping detuned trajectory, replayed with a dense expm of the
+        # rotating-frame generator, the collapses at its recorded jump steps
+        # and exp(+i detuning t) on rho_eg at each record
+        det, drive = DetectorParams(), DriveParams(omega_r=0.1, detuning=0.2)
+        spec = ModelSpec("rabi", detector=det, drive=drive)
+        cfg = RunConfig(spec, dt=0.1, t_max=40.0, n_trajectories=1,
+                        observables=("rho_eg_re", "rho_eg_im"))
+        rec = run_trajectory(build_model(spec), cfg, RngStream(5, 0))
+        assert len(rec.jumps) > 3
+        step = expm(four_level_generator(det, drive.detuning, drive.omega_r) * cfg.dt)
+        jump_steps = {round(t / cfg.dt) for t in rec.jumps}
+        c = np.array([0, 0, 0, 1], complex)
+        replay = [c[0] * np.conj(c[2]) + c[1] * np.conj(c[3])]
+        for i in range(len(rec.times) - 1):
+            c = step @ c
+            if i in jump_steps:
+                c = np.array([0, c[0], 0, c[2]])
+            c /= np.linalg.norm(c)
+            rho_eg = c[0] * np.conj(c[2]) + c[1] * np.conj(c[3])
+            replay.append(rho_eg * np.exp(1j * drive.detuning * rec.times[i + 1]))
+        replay = np.array(replay)
+        assert np.max(np.abs(replay)) > 0.01
+        np.testing.assert_allclose(rec.observables["rho_eg_re"], replay.real, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rec.observables["rho_eg_im"], replay.imag, rtol=0, atol=1e-12)
 
 
 class FixedBand(MeasuredDecayModel):

@@ -48,9 +48,9 @@ class TestNormFlowIdentity:
     @pytest.mark.parametrize("model", all_models(), ids=lambda m: type(m).__name__ + (
         "" if isinstance(m, FreeDecayModel) else m.detector.coupling_target))
     def test_norm_flow(self, model):
-        for t in (0.0, 0.37, 2.9):
+        for _ in range(3):
             c = random_state(model.dim)
-            d = model.derivative(t, c)
+            d = model.derivative(c)
             flow = 2.0 * np.real(np.vdot(c, d))
             expected = -model.gamma * model.excited_weight(c)
             assert flow == pytest.approx(expected, abs=1e-12)
@@ -60,20 +60,20 @@ class TestDetectorModel:
     def test_eigen_decay_rate(self):
         model = DetectorMeasurementModel(DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0))
         c = np.array([1, 0, 0, 0], complex)
-        d = model.derivative(0.0, c)
+        d = model.derivative(c)
         assert 2 * np.real(np.conj(c[0]) * d[0]) == pytest.approx(-10.0, abs=1e-12)
 
     def test_no_coupling_pure_phase(self):
         model = DetectorMeasurementModel(DetectorParams(gamma=0.0, lam=0.0, omega_d=1.0))
         c = random_state(4)
-        d = model.derivative(0.0, c)
+        d = model.derivative(c)
         growth = 2 * np.real(np.conj(c) * d)
         np.testing.assert_allclose(growth, 0.0, atol=1e-14)
 
     def test_coupling_feeds_detector(self):
         model = DetectorMeasurementModel(DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0))
         c = np.array([0, 0, 0, 1], complex)
-        d = model.derivative(0.0, c)
+        d = model.derivative(c)
         assert abs(d[2]) == pytest.approx(1.0, abs=1e-12)  # rate lam into g,a
         assert d[0] == 0 and d[1] == 0
 
@@ -81,30 +81,32 @@ class TestDetectorModel:
         model = DetectorMeasurementModel(
             DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0, coupling_target="excited"))
         c = np.array([0, 1, 0, 0], complex)  # |e,b>
-        d = model.derivative(0.0, c)
+        d = model.derivative(c)
         assert abs(d[0]) == pytest.approx(1.0, abs=1e-12)
         c = np.array([0, 0, 0, 1], complex)  # |g,b> untouched by lam
-        d = model.derivative(0.0, c)
+        d = model.derivative(c)
         assert abs(d[2]) == 0.0
 
 
 class TestRabiModel:
     def test_reduces_to_detector_without_drive(self):
+        # stepped in the frame rotating at the detuning, the undriven model
+        # is the detector model with omega_a = detuning
         det = DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0)
         rabi = RabiMeasuredModel(det, DriveParams(omega_r=0.0, detuning=0.7))
-        detector = DetectorMeasurementModel(det, omega_a=0.0)
-        for t in (0.0, 1.3, 8.0):
+        detector = DetectorMeasurementModel(det, omega_a=0.7)
+        for _ in range(3):
             c = random_state(4)
-            np.testing.assert_array_equal(rabi.derivative(t, c),
-                                          detector.derivative(t, c))
+            np.testing.assert_array_equal(rabi.derivative(c),
+                                          detector.derivative(c))
 
     def test_excited_variant_reduction(self):
         det = DetectorParams(gamma=10.0, lam=1.0, omega_d=1.0, coupling_target="excited")
         rabi = RabiMeasuredModel(det, DriveParams(omega_r=0.0))
         detector = DetectorMeasurementModel(det, omega_a=0.0)
         c = random_state(4)
-        np.testing.assert_array_equal(rabi.derivative(0.5, c),
-                                      detector.derivative(0.5, c))
+        np.testing.assert_array_equal(rabi.derivative(c),
+                                      detector.derivative(c))
 
     def test_free_detuned_oscillation(self):
         # lam = 0, gamma = 0: excited population peaks at omega_r^2/(d^2+omega_r^2)
@@ -114,11 +116,10 @@ class TestRabiModel:
         dt = 0.005
         peak = 0.0
         for i in range(int(30.0 / dt)):
-            t = i * dt
-            k1 = model.derivative(t, c)
-            k2 = model.derivative(t + dt / 2, c + dt / 2 * k1)
-            k3 = model.derivative(t + dt / 2, c + dt / 2 * k2)
-            k4 = model.derivative(t + dt, c + dt * k3)
+            k1 = model.derivative(c)
+            k2 = model.derivative(c + dt / 2 * k1)
+            k3 = model.derivative(c + dt / 2 * k2)
+            k4 = model.derivative(c + dt * k3)
             c = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             peak = max(peak, abs(c[0]) ** 2 + abs(c[1]) ** 2)
         assert peak == pytest.approx(0.2, abs=2e-3)
@@ -128,7 +129,7 @@ class TestFreeDecayModel:
     def test_no_coupling_all_zero(self):
         res = ReservoirSpec(n_modes=11, half_width=0.5, g0=0.0)
         model = FreeDecayModel(res)
-        d = model.derivative(1.0, random_state(model.dim))
+        d = model.derivative(random_state(model.dim))
         np.testing.assert_array_equal(d, np.zeros(model.dim))
 
     def test_two_mode_exact_diagonalization(self):
@@ -145,15 +146,15 @@ class TestFreeDecayModel:
         ], dtype=complex)
         c = model.initial_amplitudes()
         for i in range(30):
-            c = model.propagate(0.1 * i, c, 0.1)
+            c = model.propagate(c, 0.1)
         exact = abs(expm(-1j * h * 3.0)[0, 0]) ** 2
-        assert model.observables()["rho_ee"](c) == pytest.approx(exact, abs=1e-14)
+        assert model.observables()["rho_ee"](c, 3.0) == pytest.approx(exact, abs=1e-14)
 
     def test_norm_conserved(self):
         res = ReservoirSpec(n_modes=9, half_width=0.5, g0=0.05)
         model = FreeDecayModel(res)
         c = random_state(model.dim)
-        d = model.derivative(0.7, c)
+        d = model.derivative(c)
         assert 2 * np.real(np.vdot(c, d)) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -165,10 +166,10 @@ class TestMeasuredDecayModel:
         assert (free.dim, free.gamma) == (full.dim, 0.0)
         c = random_state(full.dim)
         c[::2] = 0.0        # the detector's b level only
-        d = free.derivative(0.9, c)
-        np.testing.assert_array_equal(d, full.derivative(0.9, c))
+        d = free.derivative(c)
+        np.testing.assert_array_equal(d, full.derivative(c))
         np.testing.assert_array_equal(d[::2], 0.0)  # a-sector inert
-        assert free.observables()["rho_aa"](free.propagate(0.0, c, 5.0)) == 0.0
+        assert free.observables()["rho_aa"](free.propagate(c, 5.0), 5.0) == 0.0
 
     def test_reduces_to_detector_blocks_without_reservoir(self):
         res = ReservoirSpec(n_modes=5, half_width=0.5, g0=0.0)
@@ -176,16 +177,16 @@ class TestMeasuredDecayModel:
         full = MeasuredDecayModel(res, det)
         block = DetectorMeasurementModel(det, omega_a=0.0)
         c = random_state(full.dim)
-        d = full.derivative(0.0, c)
+        d = full.derivative(c)
         # e,0 block evolves like the detector's e rows (no lam there)
         eb = np.array([c[0], c[1], 0, 0], complex)
-        de = block.derivative(0.0, eb)
+        de = block.derivative(eb)
         assert d[0] == pytest.approx(de[0], abs=1e-15)
         assert d[1] == pytest.approx(de[1], abs=1e-15)
         # each chain site evolves like the detector's g rows
         for k in range(full.sites):
             gk = np.array([0, 0, c[2 + 2 * k], c[3 + 2 * k]], complex)
-            dg = block.derivative(0.0, gk)
+            dg = block.derivative(gk)
             assert d[2 + 2 * k] == pytest.approx(dg[2], abs=1e-15)
             assert d[3 + 2 * k] == pytest.approx(dg[3], abs=1e-15)
 
@@ -316,17 +317,17 @@ class TestBandFactor:
         for rows in (1, 7, 1):
             c = np.array([random_state(model.dim) for _ in range(rows)])
             fresh = MeasuredDecayModel(res, det, t_max=30.0)
-            np.testing.assert_array_equal(model.propagate(0.0, c, 0.1),
-                                          fresh.propagate(0.0, c, 0.1))
-            np.testing.assert_array_equal(model.derivative(0.0, c[0]),
-                                          fresh.derivative(0.0, c[0]))
+            np.testing.assert_array_equal(model.propagate(c, 0.1),
+                                          fresh.propagate(c, 0.1))
+            np.testing.assert_array_equal(model.derivative(c[0]),
+                                          fresh.derivative(c[0]))
 
     def test_derivative_is_the_dense_generator(self):
         model = MeasuredDecayModel(ReservoirSpec(n_modes=41, g0=0.01, slope=2.0),
                                    DetectorParams())
         assert model.sites == 41
         c = random_state(model.dim)
-        np.testing.assert_allclose(model.derivative(0.0, c), dense_generator(model) @ c,
+        np.testing.assert_allclose(model.derivative(c), dense_generator(model) @ c,
                                    rtol=0, atol=1e-15)
 
     def test_derivative_of_the_whole_band_stays_small(self):
@@ -336,7 +337,7 @@ class TestBandFactor:
         c = random_state(model.dim)
         tracemalloc.start()
         try:
-            model.derivative(0.0, c)
+            model.derivative(c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -410,8 +411,8 @@ class TestInitialStates:
         assert np.sum(np.abs(c)) == 1.0
         # slot 1 is |e,0,b>: system excited, detector in its ground level
         obs = model.observables()
-        assert obs["rho_ee"](c) == 1.0
-        assert obs["rho_aa"](c) == 0.0
+        assert obs["rho_ee"](c, 0.0) == 1.0
+        assert obs["rho_aa"](c, 0.0) == 0.0
 
 
 class TestFrequencyShiftInvariance:
@@ -423,7 +424,7 @@ class TestFrequencyShiftInvariance:
             m1 = cls(base, *extra)
             m2 = cls(shifted, *extra)
             c = random_state(m1.dim)
-            np.testing.assert_array_equal(m1.derivative(2.1, c), m2.derivative(2.1, c))
+            np.testing.assert_array_equal(m1.derivative(c), m2.derivative(c))
 
     def test_detector_observables_shift_invariant(self):
         # omega_a only rotates the phase between the e and g sectors

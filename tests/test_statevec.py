@@ -76,21 +76,21 @@ class TestNormalize:
 
 class TestSubspaceProbability:
     def test_pure_ground(self):
-        assert OBS["rho_gg"](np.array([0, 0, 0, 1], complex)) == pytest.approx(1.0)
+        assert OBS["rho_gg"](np.array([0, 0, 0, 1], complex), 0.0) == pytest.approx(1.0)
 
     def test_even_superposition(self):
         c = np.array([0, 1, 0, 1], complex) / np.sqrt(2)
-        assert OBS["rho_gg"](c) == pytest.approx(0.5)
+        assert OBS["rho_gg"](c, 0.0) == pytest.approx(0.5)
 
     def test_additivity_over_labels(self):
         c = np.sqrt(np.array([0.1, 0.0, 0.2, 0.7], complex))
-        assert OBS["rho_aa"](c) == pytest.approx(0.3, abs=1e-12)
+        assert OBS["rho_aa"](c, 0.0) == pytest.approx(0.3, abs=1e-12)
         assert FOUR_LEVEL.excited_weight(c) == pytest.approx(0.3, abs=1e-12)
 
     def test_always_true_equals_norm(self):
         c = np.array([0.3, 0.4j, 1.2, -0.5])
-        assert OBS["rho_ee"](c) + OBS["rho_gg"](c) == pytest.approx(_weight(c))
-        assert OBS["rho_aa"](c) + OBS["rho_bb"](c) == pytest.approx(_weight(c))
+        assert OBS["rho_ee"](c, 0.0) + OBS["rho_gg"](c, 0.0) == pytest.approx(_weight(c))
+        assert OBS["rho_aa"](c, 0.0) + OBS["rho_bb"](c, 0.0) == pytest.approx(_weight(c))
 
     @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
                     min_size=3, max_size=10))
@@ -101,7 +101,7 @@ class TestSubspaceProbability:
             return
         c = _renormalize(amps)
         obs = FreeDecayModel(ReservoirSpec(n_modes=len(amps) - 1)).observables()
-        assert obs["rho_ee"](c) + obs["rho_gg"](c) == pytest.approx(1.0, abs=1e-12)
+        assert obs["rho_ee"](c, 0.0) + obs["rho_gg"](c, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLabels:
