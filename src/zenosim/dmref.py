@@ -6,14 +6,15 @@ Monte Carlo error.  Populations from a large trajectory ensemble must agree
 with them pointwise; that comparison is the core consistency check of the
 whole package.
 
-Every reference here has a constant linear generator L, so its RK4 step is
-the degree-4 Taylor polynomial of exp(dt L), applied in Horner form by
-``_rk4``.  The 4-level master equation is small: RK4 applied to the
-identity gives its step matrix once, and each recorded point (a power of
-it) is a single matvec.
-The band density matrix runs on the band's Lanczos chain, as long as its
-horizon needs, where the Hamiltonian is tridiagonal: its commutator costs
-O(n^2) and RK4 is applied to rho itself.
+Both references are master equations rho' = K rho + rho K^+ + J rho J^+ of
+the jump unraveling, applied by one routine (``_lindblad``) with K a band
+built from a tridiagonal Hamiltonian (``_band``) and J a map of slots.
+The generator is constant, so its RK4 step is the degree-4 Taylor
+polynomial of exp(dt L), in Horner form (``_rk4``).  The 4-level master
+equation is small: RK4 on its 16 unit matrices gives its step matrix once,
+and each recorded point (a power of it) is a single matvec.  The band
+density matrix runs on the band's Lanczos chain, as long as its horizon
+needs, at O(n^2) a call, with RK4 applied to rho itself.
 """
 
 from __future__ import annotations
@@ -72,51 +73,55 @@ def _rk4(apply, y, dt, work=None):
     return w
 
 
-def _step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
-    """The RK4 step of y' = generator @ y as one matrix."""
-    return _rk4(lambda m, out: np.matmul(generator, m, out=out),
-                np.eye(len(generator), dtype=complex), dt)
+def _band(diagonal, hopping, detector=None) -> np.ndarray:
+    """K = -i H of the real symmetric tridiagonal H = (diagonal, hopping) as
+    a band ``k[i, w + m] = K[i, i + m]`` of half-width w.  With a ``detector``
+    (DetectorParams) each row of H holds the detector levels a, b in slots
+    2 row and 2 row + 1, and K gains each row's 2x2 block over them: splitting
+    omega_d/2, decay gamma/2 on a, and lam on the monitored rows (row 0 is the
+    system's excited level, every later row a ground one)."""
+    levels = 1 if detector is None else 2
+    k = np.zeros((levels * len(diagonal), 2 * levels + 1), complex)
+    k[:, levels] = -1j * np.repeat(diagonal, levels)
+    k[:-levels, -1] = k[levels:, 0] = -1j * np.repeat(hopping, levels)
+    if detector is not None:
+        k[0::2, 2] += -0.5j * detector.omega_d - 0.5 * detector.gamma
+        k[1::2, 2] += 0.5j * detector.omega_d
+        monitored = (np.arange(len(diagonal)) > 0) != (detector.coupling_target == "excited")
+        k[0::2, 3] = k[1::2, 1] = -1j * detector.lam * monitored
+    return k
 
 
-_SM = np.array([[0, 0], [1, 0]], dtype=complex)
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SZ = np.diag([1.0, -1.0]).astype(complex)
-_I2 = np.eye(2, dtype=complex)
+def _lindblad(k: np.ndarray, jump: tuple[slice, slice], rate: float):
+    """``apply(r, out)``: out = K r + r K^+ + rate J r J^+ over the last two
+    axes of r, for K the band ``k`` (as ``_band`` makes it) and J the map
+    of the slots ``jump[0]`` onto the slots ``jump[1]``.
 
-
-def _four_level_operators(spec: ModelSpec):
-    """Hamiltonian, detector lowering operator, detector decay rate and frame
-    frequency on the (system x detector) four-level basis |e,a>, |e,b>,
-    |g,a>, |g,b>, from three numbers: the excited level's energy, the drive
-    omega_r and the frequency ``frame`` of the phase exp(i frame t) that
-    takes the integrated rho_eg to the reported one.
-
-    The detector variant is (omega_a, 0, 0).  The rabi variant is in the
-    interaction picture, where the drive carries exp(i detuning t) on |e><g|;
-    in the frame rotating by exp(i detuning t P_e) (P_e the system's excited
-    projector) it is constant and P_e gains the energy detuning, so the
-    variant is (detuning, omega_r, detuning).
+    K's main diagonal on both sides is one elementwise factor, and every
+    other nonzero diagonal one shifted product per side, so a call costs
+    O(n^2) where dense products cost O(n^3).
     """
-    det = spec.detector
-    if spec.variant == "detector":
-        energy, omega_r, frame = spec.omega_a, 0.0, 0.0
-    else:
-        energy, omega_r, frame = spec.drive.detuning, spec.drive.omega_r, spec.drive.detuning
-    proj_e, proj_g = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    mon = proj_g if det.coupling_target == "ground" else proj_e
-    # the drive -0.5 omega_r (|e><g| + |g><e|) on the system, the 2x2 of _SX
-    h = (energy * np.kron(proj_e, _I2) - 0.5 * omega_r * np.kron(_SX, _I2)
-         + 0.5 * det.omega_d * np.kron(_I2, _SZ) + det.lam * np.kron(mon, _SX))
-    return h, np.kron(_I2, _SM), det.gamma, frame
+    w = k.shape[1] // 2
+    factor = k[:, w, None] + k[:, w].conj()
+    shifts = []
+    for m in range(1, w + 1):
+        # K[i, i + m] and K[i + m, i] for i < n - m: columns for the left
+        # side, conjugated rows for the right
+        up, down = k[:len(k) - m, w + m], k[m:, w - m]
+        if up.any() or down.any():
+            shifts.append((m, up[:, None], down[:, None], up.conj(), down.conj()))
+    src, dst = jump
 
+    def apply(r, out):
+        np.multiply(factor, r, out=out)
+        for m, up, down, up_h, down_h in shifts:
+            out[..., :-m, :] += up * r[..., m:, :]
+            out[..., m:, :] += down * r[..., :-m, :]
+            out[..., :-m] += up_h * r[..., m:]
+            out[..., m:] += down_h * r[..., :-m]
+        out[..., dst, dst] += rate * r[..., src, src]
 
-def _liouvillian(h: np.ndarray, sm: np.ndarray, gamma: float) -> np.ndarray:
-    """-i[h, rho] + gamma (sm rho sm^+ - {sm^+ sm, rho}/2) as a matrix acting
-    on rho.reshape(-1) (row-major: A rho B -> kron(A, B^T))."""
-    eye = np.eye(len(h))
-    spsm = sm.conj().T @ sm
-    return (-1j * (np.kron(h, eye) - np.kron(eye, h.T))
-            + gamma * (np.kron(sm, sm.conj()) - 0.5 * (np.kron(spsm, eye) + np.kron(eye, spsm.T))))
+    return apply
 
 
 def evolve_master_detector(spec: ModelSpec, t_max: float, dt: float,
@@ -136,7 +141,12 @@ def evolve_master_detector(spec: ModelSpec, t_max: float, dt: float,
     if spec.variant not in ("detector", "rabi"):
         raise ValueError("master-equation reference covers the 4-level models only")
     _require_horizon(t_max, dt, record_every)
-    h, sm, gamma, frame = _four_level_operators(spec)
+    # the excited row's energy, omega_r and frame: the rabi drive is constant
+    # in the frame rotating by exp(i detuning t P_e), where P_e gains detuning
+    if spec.variant == "detector":
+        energy, omega_r, frame = spec.omega_a, 0.0, 0.0
+    else:
+        energy, omega_r, frame = spec.drive.detuning, spec.drive.omega_r, spec.drive.detuning
 
     if rho0 is None:
         psi = build_model(spec).initial_amplitudes()
@@ -145,8 +155,11 @@ def evolve_master_detector(spec: ModelSpec, t_max: float, dt: float,
         rho = np.asarray(rho0, dtype=complex).copy()
         check_density_matrix(rho, hermiticity_tol=1e-10, trace_tol=1e-9)
 
-    prop = np.linalg.matrix_power(_step_matrix(_liouvillian(h, sm, gamma), dt),
-                                  record_every)
+    # the jump takes each a slot to its b slot; unit matrix j steps to column j
+    apply = _lindblad(_band([energy, 0.0], [-0.5 * omega_r], spec.detector),
+                      (slice(0, None, 2), slice(1, None, 2)), spec.detector.gamma)
+    step = _rk4(apply, np.eye(16, dtype=complex).reshape(16, 4, 4), dt)
+    prop = np.linalg.matrix_power(step.reshape(16, 16).T, record_every)
     n_rec = int(round(t_max / dt)) // record_every
     times = np.arange(n_rec + 1) * record_every * dt
     vecs = np.empty((n_rec + 1, 16), complex)
@@ -182,26 +195,6 @@ def four_level_populations(rhos: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _tridiagonal_generator(h: np.ndarray, damp: np.ndarray):
-    """``apply(r, out)``: out = -i[h, r] - damp * r for a real symmetric
-    tridiagonal h: one elementwise factor for the diagonal and the damping,
-    and one shifted product per side of each hopping, so a call costs
-    O(n^2) where a dense h @ r costs O(n^3)."""
-    d = np.diag(h)
-    factor = -1j * (d[:, None] - d[None, :]) - damp
-    rows = -1j * np.diag(h, 1)[:, None]
-    cols = 1j * np.diag(h, 1)
-
-    def apply(r, out):
-        np.multiply(factor, r, out=out)
-        out[:-1] += rows * r[1:]
-        out[1:] += rows * r[:-1]
-        out[:, :-1] += cols * r[:, 1:]
-        out[:, 1:] += cols * r[:, :-1]
-
-    return apply
-
-
 def evolve_measured_decay_dm(res: ReservoirSpec, tau_m: float, t_max: float,
                              dt: float, record_every: int | None = None):
     """Excited-state population of the measured decaying system, reduced DM.
@@ -220,9 +213,11 @@ def evolve_measured_decay_dm(res: ReservoirSpec, tau_m: float, t_max: float,
     if not tau_m > 0:
         raise ValueError(f"tau_m must be > 0, got {tau_m}")
     h = res.chain(res.chain_sites(t_max))
-    damp = np.zeros(h.shape)
-    damp[0, 1:] = damp[1:, 0] = 1.0 / tau_m
-    apply = _tridiagonal_generator(h, damp)
+    # K = -i h - |0><0|/tau_m and J = sqrt(2/tau_m) |0><0|: the coherences
+    # of row 0 decay at 1/tau_m, and its population is kept
+    k = _band(np.diag(h), np.diag(h, 1))
+    k[0, 1] -= 1.0 / tau_m
+    apply = _lindblad(k, (slice(0, 1), slice(0, 1)), 2.0 / tau_m)
 
     rho = np.zeros(h.shape, complex)
     rho[0, 0] = 1.0

@@ -513,8 +513,9 @@ class DetectorMeasurementModel(_FourLevelModel):
     """
 
     def __init__(self, detector: DetectorParams, omega_a: float = 1.0):
-        super().__init__(detector, omega_a, 0.0, 0.0)
         self.omega_a = omega_a
+        _require_finite(self, "omega_a")
+        super().__init__(detector, omega_a, 0.0, 0.0)
 
     def initial_amplitudes(self) -> np.ndarray:
         # superposition (|e> + |g>)/sqrt(2), detector in its ground level

@@ -214,10 +214,19 @@ def lab_frame_master(spec, t_max, dt, record_every):
     return np.array(rhos)
 
 
+EXCITED = DetectorParams(coupling_target="excited")
+MASTER_SPECS = {
+    "fig2": preset("fig2").model,
+    "fig5": preset("fig5").model,
+    "excited-detector": ModelSpec("detector", detector=EXCITED),
+    "excited-rabi": ModelSpec("rabi", detector=EXCITED, drive=DriveParams(omega_r=0.1)),
+}
+
+
 class TestConstantGeneratorMaster:
-    @pytest.mark.parametrize("name", ["fig2", "fig5"])
+    @pytest.mark.parametrize("name", list(MASTER_SPECS))
     def test_matches_explicit_rk4(self, name):
-        spec = preset(name).model
+        spec = MASTER_SPECS[name]
         times, rhos = dmref.evolve_master_detector(spec, 30.0, 0.01, record_every=10)
         ref = lab_frame_master(spec, 30.0, 0.01, 10)
         assert times == pytest.approx(np.arange(301) * 0.1, abs=1e-12)
@@ -269,15 +278,40 @@ class TestArrowheadBand:
         assert np.max(np.abs(pops - dense_band_populations(res, 5.0, 2.0, 0.05))) <= 1e-10
 
     def test_generator_is_the_dense_commutator(self):
+        # the routine against dense K r + r K^+ + J r J^+ on random
+        # non-Hermitian r with a leading axis: the 4-level K with either
+        # coupling, and a chain K whose row 0 dephases at 1/tau
         rng = np.random.default_rng(3)
-        n = 7
-        hop = rng.normal(size=n - 1)
-        h = np.diag(rng.normal(size=n)) + np.diag(hop, 1) + np.diag(hop, -1)
-        damp = rng.random((n, n))
-        r = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        out = np.empty_like(r)
-        dmref._tridiagonal_generator(h, damp)(r, out)
-        np.testing.assert_allclose(out, -1j * (h @ r - r @ h) - damp * r, rtol=0, atol=1e-13)
+        sx = np.array([[0, 1], [1, 0]])
+        for target in ("ground", "excited"):
+            det = DetectorParams(gamma=rng.random() * 10, lam=rng.random(),
+                                 omega_d=rng.normal(), coupling_target=target)
+            energy, hop = rng.normal(size=2)
+            mon = np.diag([0.0, 1.0] if target == "ground" else [1.0, 0.0])
+            h = (np.kron([[energy, hop], [hop, 0.0]], np.eye(2)) + det.lam * np.kron(mon, sx)
+                 + 0.5 * det.omega_d * np.kron(np.eye(2), np.diag([1.0, -1.0])))
+            k = -1j * h - 0.5 * det.gamma * np.kron(np.eye(2), np.diag([1.0, 0.0]))
+            j = np.sqrt(det.gamma) * np.kron(np.eye(2), [[0, 0], [1, 0]])
+            check_generator(dmref._lindblad(dmref._band([energy, 0.0], [hop], det),
+                                            (slice(0, None, 2), slice(1, None, 2)),
+                                            det.gamma), k, j, rng)
+        n, tau = 7, 5.0
+        diag, hop = rng.normal(size=n), rng.normal(size=n - 1)
+        proj = np.diag(np.arange(n) == 0).astype(float)
+        k = -1j * (np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1)) - proj / tau
+        band = dmref._band(diag, hop)
+        band[0, 1] -= 1.0 / tau
+        check_generator(dmref._lindblad(band, (slice(0, 1), slice(0, 1)), 2.0 / tau),
+                        k, np.sqrt(2.0 / tau) * proj, rng)
+
+
+def check_generator(apply, k, j, rng):
+    n = len(k)
+    r = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    out = np.empty_like(r)
+    apply(r, out)
+    dense = k @ r + r @ k.conj().T + j @ r @ j.conj().T
+    np.testing.assert_allclose(out, dense, rtol=0, atol=1e-13)
 
 
 class TestDensityMatrixChecks:

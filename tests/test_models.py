@@ -390,6 +390,13 @@ class TestReservoirSpec:
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 cls(**{field: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_detector_model_rejects_non_finite_omega_a(self, value):
+        # built directly, not through ModelSpec: the parameter is named at
+        # construction instead of a norm underflow at the first step
+        with pytest.raises(ValueError, match="omega_a must be finite"):
+            DetectorMeasurementModel(DetectorParams(), omega_a=value)
+
     def test_paper_mode_count_spacing(self):
         res = ReservoirSpec(n_modes=1001, half_width=0.5, g0=0.001262)
         assert res.mode_spacing == pytest.approx(0.001, abs=0)
