@@ -32,7 +32,7 @@ from .ensemble import default_workers, run_ensemble
 from .config import build_model
 from .engine import run_trajectory  # noqa: F401
 from .models import DriveParams, ReservoirSpec
-from .output import write_ensemble_csv, write_manifest, write_trajectory_csv
+from .output import SharedRows, write_ensemble_csv, write_manifest, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -143,10 +143,17 @@ def _cmd_simulate(args) -> int:
         ens_path = outdir / "ensemble.csv"
         write_ensemble_csv(ens_path, stats)
         outputs.append(str(ens_path))
+        copied = 0
         if args.per_trajectory:
+            # every unjumped trajectory holds the reference's rows: the one
+            # whose first jump comes last shares the most
+            jumps = stats.trajectories.jumps
+            ref = max(range(stats.n_trajectories),
+                      key=lambda i: jumps[i][0] if jumps[i] else np.inf)
+            shared = SharedRows(stats.record(ref))
             for i in range(stats.n_trajectories):
                 path = outdir / f"trajectory_{i:04d}.csv"
-                write_trajectory_csv(path, stats.record(i))
+                copied += write_trajectory_csv(path, stats.record(i), shared)
                 outputs.append(str(path))
         csv_done = time.perf_counter()
     except Exception as exc:
@@ -155,11 +162,14 @@ def _cmd_simulate(args) -> int:
 
     wall = time.perf_counter() - started
     manifest = outdir / "manifest.json"
-    write_manifest(manifest, cfg, outputs, wall,
-                   extra={"total_jumps": stats.total_jumps,
-                          "max_jump_prob": stats.trajectories.max_jump_prob,
-                          "phase_wall_s": {"ensemble": ensemble_done - started,
-                                           "csv": csv_done - ensemble_done}})
+    extra = {"total_jumps": stats.total_jumps,
+             "max_jump_prob": stats.trajectories.max_jump_prob,
+             "phase_wall_s": {"ensemble": ensemble_done - started,
+                              "csv": csv_done - ensemble_done}}
+    if args.per_trajectory:
+        extra["trajectory_rows"] = {"written": stats.n_trajectories * len(stats.times),
+                                    "copied": copied}
+    write_manifest(manifest, cfg, outputs, wall, extra=extra)
     outputs.append(str(manifest))
     print(f"wrote {len(outputs)} files to {outdir} in {wall:.1f}s "
           f"({stats.n_trajectories} trajectories, {stats.total_jumps} jumps)")

@@ -12,7 +12,12 @@ from zenosim.config import (
 from zenosim.engine import RngStream, TrajectoryRecord, run_trajectory
 from zenosim.ensemble import EnsembleStatistics, run_ensemble
 from zenosim.models import DetectorParams, DriveParams, ReservoirSpec
-from zenosim.output import read_ensemble_csv, write_ensemble_csv, write_trajectory_csv
+from zenosim.output import (
+    SharedRows,
+    read_ensemble_csv,
+    write_ensemble_csv,
+    write_trajectory_csv,
+)
 
 
 class TestPresetTable:
@@ -229,6 +234,28 @@ class TestCsvRoundTrip:
         assert ((tmp_path / "traj.csv").read_bytes()
                 == self._reference_bytes(tmp_path, ["t", "rho_ee", "rho_gg", "jump"], rows))
 
+    NAN = np.array([np.nan]).view(np.int64)
+    QUIET_NAN, OTHER_NAN = (NAN | np.array([0, 1])).view(np.float64)
+
+    @pytest.mark.parametrize("ref_values, values, copied", [
+        # -0.0 == 0.0, but their bits and their text differ
+        ([0.1, 1 / 3, 0.0, 0.5, 1e300], [0.1, 1 / 3, -0.0, 0.5, 1e300], 2),
+        # NaN != NaN, but equal bits copy; another payload stops the copy
+        ([0.1, QUIET_NAN, QUIET_NAN, 0.5], [0.1, QUIET_NAN, OTHER_NAN, 0.5], 2),
+    ], ids=["signed-zero", "nan-payload"])
+    def test_shared_rows_copy_until_the_first_bit_difference(self, tmp_path, ref_values,
+                                                             values, copied):
+        def record(v):
+            v = np.array(v)
+            return TrajectoryRecord(trajectory_id=0, times=np.arange(len(v)) * 0.1,
+                                    observables={"rho_ee": v}, jumps=[], seed_used=1)
+
+        rec = record(values)
+        path = tmp_path / "traj.csv"
+        assert write_trajectory_csv(path, rec, SharedRows(record(ref_values))) == copied
+        rows = [[t, v, "0"] for t, v in zip(rec.times, rec.observables["rho_ee"])]
+        assert path.read_bytes() == self._reference_bytes(tmp_path, ["t", "rho_ee", "jump"], rows)
+
     def test_ensemble_bytes_match_reference(self, tmp_path):
         v = self.VALUES
         stats = EnsembleStatistics(
@@ -385,7 +412,7 @@ class TestCli:
     def test_simulate_preset_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = cli.main(["simulate", "fig1", "--output", str(out), "--per-trajectory",
-                         "--t-max", "10"])
+                         "--t-max", "10", "--n-trajectories", "8"])
         assert code == 0
         assert (out / "ensemble.csv").exists()
         assert (out / "trajectory_0000.csv").exists()
@@ -396,17 +423,26 @@ class TestCli:
         assert manifest["config"]["omega_a"] == 1.0
         header = (out / "trajectory_0000.csv").read_text().splitlines()[0]
         assert header.startswith("t,") and header.endswith(",jump")
-        stats = run_ensemble(preset("fig1").with_overrides(t_max=10.0),
+        stats = run_ensemble(preset("fig1").with_overrides(t_max=10.0, n_trajectories=8),
                              workers=1, keep_curves=True)
         assert manifest["max_jump_prob"] == stats.trajectories.max_jump_prob > 0.0
         phases = manifest["phase_wall_s"]
         assert set(phases) == {"ensemble", "csv"}
         assert min(phases.values()) >= 0
         assert sum(phases.values()) <= manifest["wall_time_s"]
+        # with a trajectory that never jumps, each file copies its rows
+        # recorded at or before its first jump (a collapse decided in the
+        # step from t changes the rows after t)
+        jumps, times = stats.trajectories.jumps, stats.times
+        assert [] in jumps and any(jumps)
+        shared = sum(np.searchsorted(times, j[0], side="right") if j else len(times)
+                     for j in jumps)
+        assert manifest["trajectory_rows"] == {"written": 8 * len(times), "copied": shared}
 
     def test_per_trajectory_csv_matches_replay(self, tmp_path):
-        # the detector model, and the detuned drive's time-dependent frame
-        for target, t_max in (("fig2", 10.0), ("fig6", 2.0)):
+        # the detector model, the detuned drive's time-dependent frame and
+        # the band model
+        for target, t_max in (("fig2", 10.0), ("fig6", 2.0), ("fig10", 20.0)):
             out = tmp_path / target
             code = cli.main(["simulate", target, "--output", str(out), "--per-trajectory",
                              "--t-max", str(t_max), "--n-trajectories", "5", "--workers", "2"])
