@@ -266,9 +266,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    kwargs = {}
-    if args.n_trajectories is not None:
-        n = args.n_trajectories
+    kwargs, n = {}, args.n_trajectories
+    if n is not None:
+        if n < 1:
+            raise ConfigError(f"--n-trajectories must be >= 1, got {n}")
         kwargs = dict(n_detector=n, n_zeno=n, n_detuned=n, n_decay=n, n_anti=n)
     runs = acceptance.AcceptanceRuns(workers=_workers(args), master_seed=args.seed, **kwargs)
     results = acceptance.run_suite(args.suite, runs)

@@ -212,14 +212,13 @@ def evolve_measured_decay_dm(res: ReservoirSpec, tau_m: float, t_max: float,
     _require_horizon(t_max, dt, record_every)
     if not tau_m > 0:
         raise ValueError(f"tau_m must be > 0, got {tau_m}")
-    h = res.chain(res.chain_sites(t_max))
-    # K = -i h - |0><0|/tau_m and J = sqrt(2/tau_m) |0><0|: the coherences
-    # of row 0 decay at 1/tau_m, and its population is kept
-    k = _band(np.diag(h), np.diag(h, 1))
+    # K = -i H_chain - |0><0|/tau_m and J = sqrt(2/tau_m) |0><0|: the
+    # coherences of row 0 decay at 1/tau_m, and its population is kept
+    k = _band(*res.chain(res.chain_sites(t_max)))
     k[0, 1] -= 1.0 / tau_m
     apply = _lindblad(k, (slice(0, 1), slice(0, 1)), 2.0 / tau_m)
 
-    rho = np.zeros(h.shape, complex)
+    rho = np.zeros((len(k), len(k)), complex)
     rho[0, 0] = 1.0
     work = (np.empty_like(rho), np.empty_like(rho))
 

@@ -86,21 +86,18 @@ def default_workers() -> int:
     return workers
 
 
-def _streams(config: RunConfig, lo: int, hi: int) -> list[RngStream]:
-    return [RngStream(config.master_seed, i) for i in range(lo, hi)]
-
-
 @functools.lru_cache(maxsize=1)
 def _horizon_model(spec: ModelSpec, t_max: float):
-    """The model a run up to ``t_max`` steps, built once per worker process
-    for all the chunks of the run it is given, so that a band model's
-    chain and step propagator are not rebuilt for every chunk."""
+    """The model a run up to ``t_max`` steps, cached per process (parent or
+    worker) for every chunk of the run and for a repeated run of the same
+    spec and horizon.  It must not be shared between threads: its ``_act``
+    reuses the model's padded buffers."""
     return build_model(spec).for_horizon(t_max)
 
 
 def _run_range(config: RunConfig, lo: int, hi: int) -> TrajectoryBatch:
-    return run_batch(_horizon_model(config.model, config.t_max), config,
-                     _streams(config, lo, hi))
+    streams = [RngStream(config.master_seed, i) for i in range(lo, hi)]
+    return run_batch(_horizon_model(config.model, config.t_max), config, streams)
 
 
 def mean_and_stderr(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,9 +120,11 @@ def run_ensemble(config: RunConfig, workers: Optional[int] = None,
                  keep_curves: bool = False) -> EnsembleStatistics:
     """Run the configured ensemble and aggregate statistics.
 
-    The trajectories run in chunks, each one batch of the engine.  A failing
-    trajectory aborts the run; its error names the master seed and the
-    trajectory index, so ``run_trajectory`` replays it alone.
+    The trajectories run in chunks through ``_run_range``, each one batch of
+    the engine on its process's one model (``_horizon_model``, not shared
+    across threads).  A failing trajectory aborts the run; its error names
+    the master seed and the trajectory index, so ``run_trajectory`` replays
+    it alone.
     """
     n = config.n_trajectories
     if workers is None:
@@ -133,13 +132,13 @@ def run_ensemble(config: RunConfig, workers: Optional[int] = None,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, n)
-    # a band model on the chain this run steps, whose dimension sizes the batches
-    model = build_model(config.model).for_horizon(config.t_max)
-    size = max(1, min(BATCH_AMPLITUDES // model.dim, -(-n // workers)))
+    # a band model's dimension on the chain this run steps sizes the batches
+    dim = _horizon_model(config.model, config.t_max).dim
+    size = max(1, min(BATCH_AMPLITUDES // dim, -(-n // workers)))
     ranges = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
     if workers == 1:
-        batches = [run_batch(model, config, _streams(config, lo, hi)) for lo, hi in ranges]
+        batches = [_run_range(config, lo, hi) for lo, hi in ranges]
     else:
         # imported here: a one-worker run does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -48,10 +48,11 @@ Models
     Excited two-level system coupled to a band of discretized reservoir
     modes, single-excitation sector, with the detector attached to the
     ground level (or to the excited level, via ``coupling_target``).  The
-    band enters as its Lanczos chain (``ReservoirSpec.chain``), in the frame
-    rotating at omega_a.  The jump operator and every observable act on the
-    system and the detector only, so this unitary change of the mode basis
-    changes no record, and a chain as long as a run's horizon needs
+    band enters as its Lanczos chain, the tridiagonal pair (diagonal,
+    hopping) of ``ReservoirSpec.chain``, in the frame rotating at omega_a.
+    The jump operator and every observable act on the system and the
+    detector only, so this unitary change of the mode basis changes no
+    record, and a chain as long as a run's horizon needs
     (``ReservoirSpec.chain_sites``) is exact over that run.
 ``FreeDecayModel``
     The undetected case of ``MeasuredDecayModel``: a null detector, so the
@@ -181,10 +182,11 @@ class ReservoirSpec:
         x = self.half_width * t_max
         return min(self.n_modes, int(np.ceil(x / 2 + 5 * x ** (1 / 3))))
 
-    def chain(self, sites: int) -> np.ndarray:
+    def chain(self, sites: int) -> tuple[np.ndarray, np.ndarray]:
         """The system and the first ``sites`` sites of the band's Lanczos
-        chain, as a real symmetric tridiagonal Hamiltonian (system in row 0)
-        in the frame rotating at omega_a.
+        chain, as the real symmetric tridiagonal Hamiltonian's pair
+        (diagonal, hopping) of lengths sites + 1 and sites (system in row
+        0), in the frame rotating at omega_a.
 
         Site j is the j-th Lanczos vector of the mode energies -d_k started
         from the couplings g_k, orthogonalized twice against all earlier
@@ -196,21 +198,21 @@ class ReservoirSpec:
         the band's Krylov space (all of them for g0 = 0) stay uncoupled.
         """
         energies = -self.mode_detunings()
-        h = np.zeros((sites + 1, sites + 1))
+        diagonal, hopping = np.zeros(sites + 1), np.zeros(sites)
         basis = np.zeros((sites, self.n_modes))
         w = self.mode_couplings()
         hop = np.linalg.norm(w)
         for j in range(sites):
             if hop == 0.0:
                 break
-            h[j, j + 1] = h[j + 1, j] = hop
+            hopping[j] = hop
             basis[j] = w / hop
             w = energies * basis[j]
-            h[j + 1, j + 1] = basis[j] @ w
+            diagonal[j + 1] = basis[j] @ w
             for _ in range(2):
                 w -= (basis[:j + 1] @ w) @ basis[:j + 1]
             hop = np.linalg.norm(w)
-        return h
+        return diagonal, hopping
 
     def golden_rate(self) -> float:
         """Lowest-order decay rate into the band, 2 pi rho0 g0^2."""
@@ -365,10 +367,6 @@ class _MonitoredModel:
     def _k(self) -> np.ndarray:
         return self._band(*self._hamiltonian())
 
-    @functools.cached_property
-    def _generator(self):
-        return self._operator(self._k)
-
     def _factor(self, dt: float):
         # exp(conj(K) dt) = conj(exp(K dt)), rounded the same way
         return self._operator(_band_expm(self._k * dt))
@@ -405,7 +403,7 @@ class _MonitoredModel:
         return np.vecdot(band, windows, out=out)
 
     def derivative(self, c: np.ndarray) -> np.ndarray:
-        return self._act(self._generator, c)
+        return self._act(self._operator(self._k), c)
 
     def propagate(self, c: np.ndarray, dt: float, out=None) -> np.ndarray:
         return self._act(self._step(dt), c, out)
@@ -580,8 +578,7 @@ class MeasuredDecayModel(_MonitoredModel):
         return model
 
     def _hamiltonian(self):
-        chain = self.reservoir.chain(self.sites)
-        return np.diag(chain), np.diag(chain, 1)
+        return self.reservoir.chain(self.sites)
 
     def initial_amplitudes(self) -> np.ndarray:
         c = np.zeros(self.dim, dtype=complex)

@@ -56,7 +56,9 @@ class RatePrediction:
 
 def measurement_time(gamma: float, lam: float) -> float:
     """Characteristic measurement duration gamma / (2 lam^2)."""
-    if lam <= 0:
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    if lam == 0:
         raise ZeroDivisionError("measurement never completes for lam = 0")
     if gamma <= 0:
         raise ValueError("gamma must be > 0")

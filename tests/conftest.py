@@ -52,6 +52,12 @@ def star_hamiltonian(res):
     return h
 
 
+def tridiagonal(diagonal, hopping):
+    """The dense real symmetric matrix of the tridiagonal pair (diagonal,
+    hopping), as ``ReservoirSpec.chain`` returns it."""
+    return np.diag(diagonal) + np.diag(hopping, 1) + np.diag(hopping, -1)
+
+
 @pytest.fixture(params=sorted(BATCH_CASES))
 def batch_case(request):
     """(name, RunConfig) of one batch case."""

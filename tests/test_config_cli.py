@@ -523,6 +523,20 @@ omega_d = 1
             assert cli.main(["validate", "freedecay", "--workers", workers]) == 2
             assert "--workers" in capsys.readouterr().err
 
+    def test_bad_n_trajectories_flag_exit_2(self, capsys):
+        # rejected before any ensemble runs, also by a suite whose criteria
+        # ignore the count
+        for n in ("0", "-3"):
+            for suite in ("freedecay", "detector"):
+                assert cli.main(["validate", suite, "--n-trajectories", n]) == 2
+                captured = capsys.readouterr()
+                assert f"--n-trajectories must be >= 1, got {n}" in captured.err
+                assert captured.out == ""
+
+    def test_oracle_negative_lambda_exit_2(self, capsys):
+        assert cli.main(["oracle", "tau_m", "--gamma", "10", "--lambda", "-1"]) == 2
+        assert "lam must be >= 0, got -1.0" in capsys.readouterr().err
+
 
 class TestCriteriaTable:
     """The acceptance suite's registration and judging, without running it."""

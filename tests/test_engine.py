@@ -28,7 +28,7 @@ from zenosim.models import (
     _weight,
 )
 
-from conftest import BATCH_CASES, star_hamiltonian
+from conftest import BATCH_CASES, star_hamiltonian, tridiagonal
 
 
 def detector_model(**kw):
@@ -406,7 +406,8 @@ class TestExactBand:
         spec = cfg.model
         streams = [RngStream(cfg.master_seed, i) for i in range(cfg.n_trajectories)]
         model = build_model(spec).for_horizon(cfg.t_max)
-        double = FixedBand(spec.reservoir, spec.detector, spec.reservoir.chain(2 * model.sites))
+        double = FixedBand(spec.reservoir, spec.detector,
+                           tridiagonal(*spec.reservoir.chain(2 * model.sites)))
         a, b = run_batch(model, cfg, streams), run_batch(double, cfg, streams)
         assert model.sites == 102
         assert sum(len(j) for j in a.jumps) > 0

@@ -177,13 +177,19 @@ class TestRunEnsemble:
             np.testing.assert_array_equal(runs[0].std_error[k], runs[1].std_error[k])
 
     def test_worker_builds_the_model_once(self, monkeypatch):
-        # the chunks a worker process runs share one model of the run's horizon
-        built = []
+        # the chunks a worker process runs share one model of the run's
+        # horizon, and so do those of a one-worker run and of a repeated run
+        built, chunks = [], []
 
         def counting_build(spec):
             built.append(spec)
             return build_model(spec)
 
+        def counting_range(config, lo, hi):
+            chunks.append((lo, hi))
+            return run_range(config, lo, hi)
+
+        run_range = ensemble._run_range
         monkeypatch.setattr(ensemble, "build_model", counting_build)
         ensemble._horizon_model.cache_clear()
         cfg = RunConfig(preset("fig10").model, dt=0.1, t_max=5.0, n_trajectories=4)
@@ -195,6 +201,21 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(
             np.concatenate([first.observables["rho_ee"], second.observables["rho_ee"]]),
             whole.observables["rho_ee"])
+
+        # one worker, two rows of the 20-amplitude chain per chunk
+        ensemble._horizon_model.cache_clear()
+        built.clear()
+        monkeypatch.setattr(ensemble, "BATCH_AMPLITUDES", 40)
+        monkeypatch.setattr(ensemble, "_run_range", counting_range)
+        try:
+            runs = [run_ensemble(cfg, workers=1, keep_curves=True) for _ in range(2)]
+        finally:
+            ensemble._horizon_model.cache_clear()
+        assert built == [cfg.model]
+        assert chunks == [(0, 2), (2, 4)] * 2
+        for stats in runs:
+            np.testing.assert_array_equal(stats.trajectories.observables["rho_ee"],
+                                          whole.observables["rho_ee"])
 
     def test_band_start_over_the_modes(self):
         # a band model's initial state is given over its n_modes modes, the

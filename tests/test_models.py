@@ -16,7 +16,7 @@ from zenosim.models import (
     ReservoirSpec,
 )
 
-from conftest import star_hamiltonian
+from conftest import star_hamiltonian, tridiagonal
 
 RNG = np.random.default_rng(42)
 
@@ -206,7 +206,10 @@ class TestChain:
     @pytest.mark.parametrize("res", BANDS, ids=["flat", "sloped", "small"])
     def test_hermitian_tridiagonal(self, res):
         for sites in (30, res.chain_sites(300.0)):
-            h = res.chain(sites)
+            diagonal, hopping = res.chain(sites)
+            assert (diagonal.shape, hopping.shape) == ((sites + 1,), (sites,))
+            assert diagonal.dtype == hopping.dtype == np.float64
+            h = tridiagonal(diagonal, hopping)
             assert h.shape == (sites + 1, sites + 1)
             np.testing.assert_array_equal(h, h.T)
             np.testing.assert_array_equal(np.triu(h, 2), 0.0)
@@ -219,7 +222,7 @@ class TestChain:
         # sum_k g_k^2 (-d_k)^m for m < 2L: |g|^2 (T^m)_00 on the L-site chain T
         energies, g2 = -res.mode_detunings(), res.mode_couplings() ** 2
         sites = 40
-        h = res.chain(sites)
+        h = tridiagonal(*res.chain(sites))
         t = h[1:, 1:]
         p = np.zeros(sites)
         p[0] = 1.0
@@ -229,11 +232,22 @@ class TestChain:
             chain = h[0, 1] ** 2 * (p @ np.linalg.matrix_power(t, m))[0]
             assert abs(chain - band) <= 1e-12 * scale, m
 
+    @pytest.mark.parametrize("res", BANDS, ids=["flat", "sloped", "small"])
+    def test_shorter_chain_is_a_prefix(self, res):
+        # a chain cut after k sites is the start of the longer one, bit for
+        # bit: for_horizon and the chain-doubling tests rely on it
+        n = res.chain_sites(300.0)
+        diagonal, hopping = res.chain(n)
+        for k in (1, n // 2, n - 1):
+            short_diagonal, short_hopping = res.chain(k)
+            assert short_diagonal.tobytes() == diagonal[:k + 1].tobytes(), k
+            assert short_hopping.tobytes() == hopping[:k].tobytes(), k
+
     def test_untruncated_chain_is_the_star(self):
         # all n_modes sites: a unitary change of the mode basis, with the
         # same spectrum and the same weights of the system level
         res = self.BANDS[2]
-        h = res.chain(res.chain_sites())
+        h = tridiagonal(*res.chain(res.chain_sites()))
         e_chain, v_chain = np.linalg.eigh(h)
         e_star, v_star = np.linalg.eigh(star_hamiltonian(res))
         np.testing.assert_allclose(e_chain, e_star, rtol=0, atol=1e-14)
@@ -253,7 +267,9 @@ class TestChain:
             ReservoirSpec().chain_sites(t_max)
 
     def test_uncoupled_band_is_an_empty_chain(self):
-        np.testing.assert_array_equal(ReservoirSpec(n_modes=5, g0=0.0).chain(5), 0.0)
+        diagonal, hopping = ReservoirSpec(n_modes=5, g0=0.0).chain(5)
+        np.testing.assert_array_equal(diagonal, np.zeros(6))
+        np.testing.assert_array_equal(hopping, np.zeros(5))
 
     def test_horizon_shortens_the_chain(self):
         res = ReservoirSpec(n_modes=101, g0=0.01)
@@ -269,7 +285,7 @@ def dense_generator(model):
     """The band model's K as a dense matrix, built from its blocks."""
     ue, ug = model.detector_blocks
     k = block_diag(ue, *[ug] * model.sites)
-    return k - 1j * np.kron(model.reservoir.chain(model.sites), np.eye(2))
+    return k - 1j * np.kron(tridiagonal(*model.reservoir.chain(model.sites)), np.eye(2))
 
 
 def dense(band):
@@ -300,7 +316,7 @@ class TestBandFactor:
         model = (FreeDecayModel(res, t_max=300.0) if target == "free" else
                  MeasuredDecayModel(res, DetectorParams(coupling_target=target), t_max=300.0))
         k = dense_generator(model)
-        np.testing.assert_array_equal(dense(model._generator).conj(), k)
+        np.testing.assert_array_equal(dense(model._operator(model._k)).conj(), k)
         for dt in (0.05, 0.1, 0.4, 1.0):
             band = model._factor(dt)
             exact = expm(k * dt)

@@ -26,6 +26,10 @@ class TestMeasurementTime:
         with pytest.raises(ZeroDivisionError):
             oracles.measurement_time(10.0, 0.0)
 
+    def test_negative_coupling(self):
+        with pytest.raises(ValueError, match=r"lam must be >= 0, got -1\.0"):
+            oracles.measurement_time(10.0, -1.0)
+
 
 class TestCoherenceFactor:
     def test_limits(self):
