@@ -43,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dmref, oracles
-from .config import DEFAULT_MASTER_SEED, ModelSpec, RunConfig, build_model, preset
+from .config import DEFAULT_MASTER_SEED, ConfigError, ModelSpec, RunConfig, build_model, preset
 from .engine import RngStream, _renormalize, run_batch, run_trajectory
 from .ensemble import (
     EnsembleStatistics,
@@ -145,11 +145,11 @@ class AcceptanceRuns:
                  n_detuned: int = 200, n_decay: int = 800, n_anti: int = 400):
         self.workers = workers
         self.master_seed = master_seed
-        self.n_detector = n_detector
-        self.n_zeno = n_zeno
-        self.n_detuned = n_detuned
-        self.n_decay = n_decay
-        self.n_anti = n_anti
+        for name, n in dict(n_detector=n_detector, n_zeno=n_zeno, n_detuned=n_detuned,
+                            n_decay=n_decay, n_anti=n_anti).items():
+            if n < 1:
+                raise ConfigError(f"{name} must be >= 1, got {n}")
+            setattr(self, name, n)
         self._cache: dict[object, object] = {}
 
     def _memo(self, key, fn):

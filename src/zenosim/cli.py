@@ -266,12 +266,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    kwargs, n = {}, args.n_trajectories
-    if n is not None:
-        if n < 1:
-            raise ConfigError(f"--n-trajectories must be >= 1, got {n}")
-        kwargs = dict(n_detector=n, n_zeno=n, n_detuned=n, n_decay=n, n_anti=n)
-    runs = acceptance.AcceptanceRuns(workers=_workers(args), master_seed=args.seed, **kwargs)
+    workers, n = _workers(args), args.n_trajectories
+    kwargs = {} if n is None else dict(n_detector=n, n_zeno=n, n_detuned=n, n_decay=n, n_anti=n)
+    try:
+        runs = acceptance.AcceptanceRuns(workers=workers, master_seed=args.seed, **kwargs)
+    except ConfigError as exc:  # AcceptanceRuns checks the counts the flag set
+        raise ConfigError(f"--n-trajectories must be >= 1, got {n}") from exc
     results = acceptance.run_suite(args.suite, runs)
     print(acceptance.format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION

@@ -88,10 +88,9 @@ def default_workers() -> int:
 
 @functools.lru_cache(maxsize=1)
 def _horizon_model(spec: ModelSpec, t_max: float):
-    """The model a run up to ``t_max`` steps, cached per process (parent or
-    worker) for every chunk of the run and for a repeated run of the same
-    spec and horizon.  It must not be shared between threads: its ``_act``
-    reuses the model's padded buffers."""
+    """The model a run up to ``t_max`` steps, cached per process for every
+    chunk of the run; ``run_ensemble`` frees it.  Not to be shared between
+    threads: ``_act`` reuses the model's padded buffers."""
     return build_model(spec).for_horizon(t_max)
 
 
@@ -120,11 +119,11 @@ def run_ensemble(config: RunConfig, workers: Optional[int] = None,
                  keep_curves: bool = False) -> EnsembleStatistics:
     """Run the configured ensemble and aggregate statistics.
 
-    The trajectories run in chunks through ``_run_range``, each one batch of
-    the engine on its process's one model (``_horizon_model``, not shared
-    across threads).  A failing trajectory aborts the run; its error names
-    the master seed and the trajectory index, so ``run_trajectory`` replays
-    it alone.
+    The trajectories run in chunks through ``_run_range`` on their process's
+    one model of the run, freed when it ends.  The model reuses its buffers,
+    so ``run_ensemble`` must not run in several threads of one process at
+    once.  A failing trajectory aborts the run; its error names the master
+    seed and the trajectory index, so ``run_trajectory`` replays it alone.
     """
     n = config.n_trajectories
     if workers is None:
@@ -132,25 +131,26 @@ def run_ensemble(config: RunConfig, workers: Optional[int] = None,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, n)
-    # a band model's dimension on the chain this run steps sizes the batches
-    dim = _horizon_model(config.model, config.t_max).dim
-    size = max(1, min(BATCH_AMPLITUDES // dim, -(-n // workers)))
-    ranges = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    try:
+        # a band model's dimension on the chain this run steps sizes the batches
+        dim = _horizon_model(config.model, config.t_max).dim
+        size = max(1, min(BATCH_AMPLITUDES // dim, -(-n // workers)))
+        ranges = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+        if workers == 1:
+            batches = [_run_range(config, lo, hi) for lo, hi in ranges]
+        else:
+            # imported here: a one-worker run does not load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-    if workers == 1:
-        batches = [_run_range(config, lo, hi) for lo, hi in ranges]
-    else:
-        # imported here: a one-worker run does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_range, config, lo, hi) for lo, hi in ranges]
-            try:
-                batches = [fut.result() for fut in futures]
-            except BaseException:
-                for fut in futures:
-                    fut.cancel()
-                raise
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(_run_range, config, lo, hi) for lo, hi in ranges]
+                try:
+                    batches = [fut.result() for fut in futures]
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+    finally:
+        _horizon_model.cache_clear()
 
     merged = TrajectoryBatch.concatenate(batches)
     mean, std_error = {}, {}

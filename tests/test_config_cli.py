@@ -533,6 +533,13 @@ omega_d = 1
                 assert f"--n-trajectories must be >= 1, got {n}" in captured.err
                 assert captured.out == ""
 
+    def test_acceptance_runs_reject_empty_counts(self):
+        # the rule the flag's check relies on, for library callers too
+        for name in ("n_detector", "n_zeno", "n_detuned", "n_decay", "n_anti"):
+            for n in (0, -3):
+                with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {n}"):
+                    acceptance.AcceptanceRuns(**{name: n})
+
     def test_oracle_negative_lambda_exit_2(self, capsys):
         assert cli.main(["oracle", "tau_m", "--gamma", "10", "--lambda", "-1"]) == 2
         assert "lam must be >= 0, got -1.0" in capsys.readouterr().err

@@ -178,7 +178,8 @@ class TestRunEnsemble:
 
     def test_worker_builds_the_model_once(self, monkeypatch):
         # the chunks a worker process runs share one model of the run's
-        # horizon, and so do those of a one-worker run and of a repeated run
+        # horizon, and so do those of a one-worker run, which frees it when
+        # it ends: a repeated run builds its own, as the first did
         built, chunks = [], []
 
         def counting_build(spec):
@@ -208,10 +209,13 @@ class TestRunEnsemble:
         monkeypatch.setattr(ensemble, "BATCH_AMPLITUDES", 40)
         monkeypatch.setattr(ensemble, "_run_range", counting_range)
         try:
-            runs = [run_ensemble(cfg, workers=1, keep_curves=True) for _ in range(2)]
+            runs = []
+            for _ in range(2):
+                runs.append(run_ensemble(cfg, workers=1, keep_curves=True))
+                assert ensemble._horizon_model.cache_info().currsize == 0
         finally:
             ensemble._horizon_model.cache_clear()
-        assert built == [cfg.model]
+        assert built == [cfg.model] * 2
         assert chunks == [(0, 2), (2, 4)] * 2
         for stats in runs:
             np.testing.assert_array_equal(stats.trajectories.observables["rho_ee"],
